@@ -47,7 +47,6 @@ from .perm import (
     ConjugacyClassSet,
     PermGroup,
     Permutation,
-    all_subgroups_up_to_conjugacy,
     format_generator_file,
     parse_cycle_string,
     parse_generator_file,

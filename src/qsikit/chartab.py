@@ -19,7 +19,7 @@ from sympy import isprime, primitive_root
 
 from .cyclotomic import Cyclotomic, ONE, ZERO
 from .errors import DomainError, IntegrityError
-from .perm import PermGroup, Permutation, _compose, _invert
+from .perm import _compose, _invert
 
 
 class Character:
@@ -269,7 +269,7 @@ def _modulus_for(group, exponent, class_count):
         candidate += exponent
 
 
-def _class_matrix(classes, i, p):
+def _class_matrix(classes, i):
     """Matrix A with A[j][l] = #{x in C_i : x^-1 z_l in C_j}, mod nothing."""
     k = len(classes)
     matrix = [[0] * k for _ in range(k)]
@@ -310,7 +310,7 @@ def character_table(group):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
         matrix = [[a % p for a in row]
-                  for row in _class_matrix(classes, i, p)]
+                  for row in _class_matrix(classes, i)]
         spaces = _split_by_eigenspaces(spaces, matrix, p)
     if not all(len(basis) == 1 for basis, _ in spaces):
         raise IntegrityError("class matrices failed to separate characters")
@@ -531,9 +531,10 @@ def restrict(chi, subgroup, fusion=None):
 def kernel(chi):
     """The subgroup where chi takes the value chi(1); always normal.
 
-    Generated incrementally from the kernel classes, stopping as soon as
-    the generated order matches the union of the classes; a mismatch at
-    the end means the class function was not a character.
+    Built as the normal closure of those classes' representatives, which
+    is the subgroup the classes generate. Its order exceeds the classes'
+    total size exactly when they do not form a subgroup, which means the
+    class function is not a character.
     """
     group = chi.group
     classes = group.conjugacy_classes()
@@ -541,17 +542,8 @@ def kernel(chi):
     member_classes = [i for i, v in enumerate(chi.values)
                       if v == degree_value]
     expected = sum(classes.sizes[i] for i in member_classes)
-    result = PermGroup(group.degree, [])
-    for i in member_classes:
-        if result.order == expected:
-            break
-        for element in classes.class_elements[i]:
-            if result.order == expected:
-                break
-            if not result.contains_tuple(element):
-                result = PermGroup(
-                    group.degree,
-                    result.generators + (Permutation(element),))
+    result = group.normal_closure(
+        classes.representatives[i] for i in member_classes)
     if result.order != expected:
         raise IntegrityError(
             "kernel classes do not close into a subgroup; the class function "

@@ -1,8 +1,11 @@
 """Permutation groups on finite point sets.
 
-Groups are given by generator permutations on {0..n-1}. A deterministic
-Schreier-Sims run at construction time provides a base and strong
-generating set, which backs order and membership queries. Everything
+Groups are given by generator permutations on {0..n-1}. One
+deterministic Schreier-Sims builder provides a base and strong generating
+set, which backs order and membership queries. It continues from any
+valid partial chain, so a point stabilizer keeps the lower levels of a
+chain based at its point, and a subgroup grown from a known one (normal
+closures, lattice candidates) continues its parent's chain. Everything
 here is exact and, for a fixed input, reproducible: no randomized
 algorithms are used anywhere on the query paths.
 
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     CapacityError,
@@ -246,91 +249,111 @@ class _OrderCapExceeded(Exception):
 
 
 class _Level:
-    """One point stabilizer level of a BSGS chain."""
+    """One level of a BSGS chain: the strong generators that fix the
+    earlier base points, and the orbit of beta under them, holding one
+    transversal element and its inverse per orbit point."""
 
-    __slots__ = ("beta", "gens", "transversal")
+    __slots__ = ("beta", "gens", "transversal", "inverses")
 
     def __init__(self, beta, identity):
         self.beta = beta
         self.gens = []
         self.transversal = {beta: identity}
+        self.inverses = {beta: identity}
 
-    def rebuild_orbit(self, identity):
-        beta = self.beta
-        transversal = {beta: identity}
-        queue = [beta]
-        gens = self.gens
-        while queue:
-            a = queue.pop()
-            ta = transversal[a]
-            for g in gens:
-                b = g[a]
-                if b not in transversal:
-                    transversal[b] = _compose(ta, g)
-                    queue.append(b)
-        self.transversal = transversal
+    def copy(self):
+        level = _Level.__new__(_Level)
+        level.beta = self.beta
+        level.gens = list(self.gens)
+        level.transversal = dict(self.transversal)
+        level.inverses = dict(self.inverses)
+        return level
+
+    def add_generator(self, g):
+        """Adjoin g and extend the orbit from the points it already has.
+
+        The old orbit is closed under the old generators, so only g leads
+        out of it; every point found after that takes all generators.
+        """
+        self.gens.append(g)
+        transversal = self.transversal
+        inverses = self.inverses
+        frontier = list(transversal)
+        moves = (g,)
+        while frontier:
+            found = []
+            for a in frontier:
+                ta = transversal[a]
+                for h in moves:
+                    b = h[a]
+                    if b not in transversal:
+                        tb = _compose(ta, h)
+                        transversal[b] = tb
+                        inverses[b] = _invert(tb)
+                        found.append(b)
+            frontier = found
+            moves = self.gens
 
 
-def _build_bsgs(degree, gen_tuples, base_hint=(), order_cap=None):
-    """Deterministic Schreier-Sims. Returns the list of levels.
+def _sift(levels, t, start=0):
+    """Strip t through levels[start:].
 
-    With order_cap set, raises _OrderCapExceeded as soon as the partial
-    chain (always a subgroup of the target) certifies order > cap.
+    Returns the residue and the index of the first level whose orbit
+    misses the image of its base point (len(levels) if there is none).
+    """
+    for i in range(start, len(levels)):
+        level = levels[i]
+        inverse = level.inverses.get(t[level.beta])
+        if inverse is None:
+            return t, i
+        t = _compose(t, inverse)
+    return t, len(levels)
+
+
+def _build_bsgs(degree, gens, levels, order_cap=None):
+    """Deterministic Schreier-Sims, continued from a valid partial chain.
+
+    levels is a complete chain for the group its strong generators
+    generate: empty, bare base points, or a built group's chain. It is
+    extended in place for the group generated by those and gens, and
+    returned. With order_cap set, raises _OrderCapExceeded as soon as
+    the partial chain (always a subgroup of the target) certifies
+    order > cap.
     """
     identity = tuple(range(degree))
-    levels = []
-
-    for beta in base_hint:
-        levels.append(_Level(beta, identity))
-
-    def strip(t, start=0):
-        for i in range(start, len(levels)):
-            b = t[levels[i].beta]
-            transversal = levels[i].transversal
-            if b not in transversal:
-                return t, i
-            t = _compose(t, _invert(transversal[b]))
-        return t, len(levels)
+    # levels above k are complete; only levels a new strong generator
+    # joined need their Schreier generators sifted
+    k = -1
 
     def add_strong_generator(t, level_index):
         # t fixes the base points before level_index
         if level_index == len(levels):
             beta = next(i for i, j in enumerate(t) if i != j)
             levels.append(_Level(beta, identity))
-        for j in range(level_index + 1):
-            levels[j].gens.append(t)
-            levels[j].rebuild_orbit(identity)
-        if order_cap is not None:
-            partial = 1
-            for level in levels:
-                partial *= len(level.transversal)
-            if partial > order_cap:
-                raise _OrderCapExceeded()
+        for level in levels[:level_index + 1]:
+            level.add_generator(t)
+        if order_cap is not None and prod(
+                len(level.transversal) for level in levels) > order_cap:
+            raise _OrderCapExceeded()
 
-    for t in gen_tuples:
-        residue, i = strip(t)
-        if any(a != b for a, b in enumerate(residue)):
+    for t in gens:
+        residue, i = _sift(levels, t)
+        if residue != identity:
             add_strong_generator(residue, i)
+            k = max(k, i)
 
     # close the chain bottom-up by sifting Schreier generators
-    k = len(levels) - 1
     while k >= 0:
         level = levels[k]
-        complete = True
-        for a in sorted(level.transversal):
-            ta = level.transversal[a]
-            for g in level.gens:
-                tb = level.transversal[g[a]]
-                schreier = _compose(_compose(ta, g), _invert(tb))
-                residue, i = strip(schreier, k + 1)
-                if any(x != y for x, y in enumerate(residue)):
-                    add_strong_generator(residue, i)
-                    k = i
-                    complete = False
-                    break
-            if not complete:
+        for a, g in itertools.product(sorted(level.transversal), level.gens):
+            schreier = _compose(_compose(level.transversal[a], g),
+                                level.inverses[g[a]])
+            residue, i = _sift(levels, schreier, k + 1)
+            if residue != identity:
+                add_strong_generator(residue, i)
+                k = i
                 break
-        if complete:
+        else:
             k -= 1
     return levels
 
@@ -374,7 +397,10 @@ class PermGroup:
     never mutates the group itself.
     """
 
-    def __init__(self, degree, generators, _base_hint=()):
+    def __init__(self, degree, generators, _chain=None, _order_cap=None):
+        # private: the build continues from _chain, a complete chain of a
+        # subgroup of the result, and takes it over; past _order_cap it
+        # raises _OrderCapExceeded
         if degree < 1:
             raise MalformedInputError("degree must be >= 1")
         gens = []
@@ -389,11 +415,9 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._levels = _build_bsgs(degree, [g.images for g in gens],
-                                   base_hint=_base_hint)
-        order = 1
-        for level in self._levels:
-            order *= len(level.transversal)
-        self.order = order
+                                   [] if _chain is None else _chain,
+                                   _order_cap)
+        self.order = prod(len(level.transversal) for level in self._levels)
         self._cache = {}
 
     # -- construction helpers
@@ -409,14 +433,10 @@ class PermGroup:
         The early exit is exact: a partial stabilizer chain is a subgroup
         of the target, so its order is a lower bound.
         """
-        gens = [g if isinstance(g, Permutation) else Permutation(g)
-                for g in generators]
         try:
-            _build_bsgs(degree, [g.images for g in gens],
-                        order_cap=order_cap)
+            return cls(degree, generators, _order_cap=order_cap)
         except _OrderCapExceeded:
             return None
-        return cls(degree, gens)
 
     @classmethod
     def from_generators(cls, generators, degree=None):
@@ -435,25 +455,21 @@ class PermGroup:
             raise MalformedInputError("generator degree does not match")
         return cls(degree, gens)
 
+    def _with(self, *perms):
+        """The group generated by self and perms, continuing self's chain."""
+        return PermGroup(self.degree, self.generators + perms,
+                         _chain=[level.copy() for level in self._levels])
+
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
     # -- membership
 
-    def _sift(self, t):
-        for level in self._levels:
-            b = t[level.beta]
-            transversal = level.transversal
-            if b not in transversal:
-                return t
-            t = _compose(t, _invert(transversal[b]))
-        return t
-
     def contains_tuple(self, t):
         if len(t) != self.degree:
             return False
-        residue = self._sift(t)
-        return all(i == j for i, j in enumerate(residue))
+        residue, _ = _sift(self._levels, t)
+        return tuple(residue) == tuple(range(self.degree))
 
     def __contains__(self, perm):
         if isinstance(perm, Permutation):
@@ -568,27 +584,11 @@ class PermGroup:
         return self._cache["abelian"]
 
     def derived_subgroup(self):
-        if "derived" in self._cache:
-            return self._cache["derived"]
-        gens = list(self.generators)
-        commutators = []
-        for a, b in itertools.combinations(gens, 2):
-            c = a.inverse() * b.inverse() * a * b
-            if not c.is_identity():
-                commutators.append(c)
-        sub = PermGroup(self.degree, commutators)
-        # normal closure under conjugation by the group's generators
-        changed = True
-        while changed:
-            changed = False
-            for s in list(sub.generators):
-                for g in gens:
-                    c = s.conjugated_by(g)
-                    if c not in sub:
-                        sub = PermGroup(self.degree, sub.generators + (c,))
-                        changed = True
-        self._cache["derived"] = sub
-        return sub
+        if "derived" not in self._cache:
+            self._cache["derived"] = self.normal_closure(
+                a.inverse() * b.inverse() * a * b
+                for a, b in itertools.combinations(self.generators, 2))
+        return self._cache["derived"]
 
     def derived_series(self):
         series = [self]
@@ -605,9 +605,6 @@ class PermGroup:
         if "solvable" not in self._cache:
             self._cache["solvable"] = self.derived_series()[-1].order == 1
         return self._cache["solvable"]
-
-    def is_perfect(self):
-        return self.derived_subgroup().order == self.order
 
     def is_simple(self):
         """True for simple groups, including abelian ones of prime order."""
@@ -628,16 +625,22 @@ class PermGroup:
         return result
 
     def normal_closure(self, perms):
+        """The smallest subgroup containing perms that self normalizes.
+
+        Worklist: for each generator taken into the closure, its
+        conjugates by self's generators that the closure lacks extend the
+        closure's chain in one step and join the worklist.
+        """
         sub = PermGroup(self.degree, perms)
-        changed = True
-        while changed:
-            changed = False
-            for s in list(sub.generators):
-                for g in self.generators:
-                    c = s.conjugated_by(g)
-                    if c not in sub:
-                        sub = PermGroup(self.degree, sub.generators + (c,))
-                        changed = True
+        queue = list(sub.generators)
+        while queue:
+            s = queue.pop()
+            new = tuple(c for c in (s.conjugated_by(g)
+                                    for g in self.generators)
+                        if c not in sub)
+            if new:
+                sub = sub._with(*new)
+                queue.extend(new)
         return sub
 
     def is_normal(self, sub):
@@ -653,14 +656,13 @@ class PermGroup:
                    if all(_compose(e, g) == _compose(g, e) for g in gens))
 
     def point_stabilizer(self, point):
-        """The stabilizer of a point, via a BSGS based at that point."""
+        """The stabilizer of a point, read off a BSGS based at that point."""
         levels = _build_bsgs(self.degree, [g.images for g in self.generators],
-                             base_hint=(point,))
+                             [_Level(point, tuple(range(self.degree)))])
         # strong generators below the top level are exactly those fixing it
-        if len(levels) <= 1:
-            return PermGroup(self.degree, [])
-        return PermGroup(self.degree,
-                         [Permutation(t) for t in levels[1].gens])
+        chain = levels[1:]
+        gens = [Permutation(t) for t in chain[0].gens] if chain else []
+        return PermGroup(self.degree, gens, _chain=chain)
 
     def conjugate_subgroup(self, g):
         return PermGroup(self.degree, [s.conjugated_by(g)
@@ -786,8 +788,7 @@ class PermGroup:
             for e in elems:
                 if base.contains_tuple(e):
                     continue
-                candidate = PermGroup(self.degree,
-                                      base.generators + (Permutation(e),))
+                candidate = base._with(Permutation(e))
                 if candidate.order == self.order:
                     continue
                 idx = register(candidate)
@@ -806,11 +807,6 @@ class PermGroup:
 def schreier_sims(generators, degree=None):
     """Build a PermGroup from generators (the main constructor)."""
     return PermGroup.from_generators(generators, degree=degree)
-
-
-def all_subgroups_up_to_conjugacy(group, max_order=SUBGROUP_ENUMERATION_BOUND):
-    """One representative per conjugacy class of subgroups of the group."""
-    return group.subgroups_up_to_conjugacy(max_order)
 
 
 def closure_order(generators, degree=None, bound=ELEMENT_ENUMERATION_BOUND):

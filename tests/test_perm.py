@@ -140,6 +140,14 @@ def test_bounded_construction():
     assert bounded is not None and bounded.order == 60
 
 
+def test_bounded_construction_rejects_a_wrong_degree():
+    # the degree is checked before the build, whatever the cap
+    with pytest.raises(MalformedInputError):
+        PermGroup.from_generators_bounded([cyc(6, [4, 5])], 5, 100)
+    with pytest.raises(MalformedInputError):
+        PermGroup.from_generators_bounded([cyc(6, list(range(6)))], 5, 1)
+
+
 def test_elements_and_random_elements():
     import random
 
@@ -361,6 +369,43 @@ def test_point_stabilizer():
     stab = group.point_stabilizer(0)
     assert stab.order == 720
     assert all(g(0) == 0 for g in stab.generators)
+
+
+def random_short_permutation(rng, n):
+    points = rng.sample(range(n), rng.randint(2, min(n, 4)))
+    return cyc(n, points)
+
+
+def random_group(rng):
+    n = rng.randint(2, 8)
+    return PermGroup(n, [random_short_permutation(rng, n)
+                         for _ in range(rng.randint(1, 3))])
+
+
+def test_engine_against_closure_on_random_groups():
+    import random
+
+    rng = random.Random(20240611)
+    for _ in range(60):
+        group = random_group(rng)
+        n = group.degree
+        # growing the chain, building from scratch and brute closure
+        x = random_short_permutation(rng, n)
+        grown = group._with(x)
+        assert grown.order == PermGroup(n, group.generators + (x,)).order
+        assert grown.order == closure_order(group.generators + (x,), n)
+        # normal closure of an element vs closure of all its conjugates
+        y = group.random_element(rng)
+        conjugates = {y.conjugated_by(Permutation(e))
+                      for e in group.elements()}
+        assert group.normal_closure([y]).order == \
+            closure_order(conjugates, n)
+        # orbit-stabilizer for every point
+        for point in range(n):
+            orbit = {e[point] for e in group.elements()}
+            stabilizer = group.point_stabilizer(point)
+            assert stabilizer.order * len(orbit) == group.order
+            assert all(g(point) == point for g in stabilizer.generators)
 
 
 def test_burnside_orbit_count():
