@@ -272,15 +272,6 @@ class Cyclotomic:
     def is_integer(self):
         return self.conductor == 1 and self.coeffs[0].denominator == 1
 
-    def to_complex(self, dps=_SIGN_PRECISION_DIGITS):
-        with mpmath.workdps(dps):
-            z = mpmath.exp(2j * mpmath.pi / self.conductor)
-            total = mpmath.mpc(0)
-            for k, c in enumerate(self.coeffs):
-                if c:
-                    total += mpmath.mpf(c.numerator) / c.denominator * z**k
-            return complex(total)
-
     def real_sign(self):
         """Exact sign of a real cyclotomic value.
 

@@ -455,10 +455,14 @@ class PermGroup:
             raise MalformedInputError("generator degree does not match")
         return cls(degree, gens)
 
-    def _with(self, *perms):
-        """The group generated by self and perms, continuing self's chain."""
+    def _with(self, *perms, _order_cap=None):
+        """The group generated by self and perms, continuing self's chain.
+
+        Past _order_cap the build raises _OrderCapExceeded.
+        """
         return PermGroup(self.degree, self.generators + perms,
-                         _chain=[level.copy() for level in self._levels])
+                         _chain=[level.copy() for level in self._levels],
+                         _order_cap=_order_cap)
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -669,15 +673,13 @@ class PermGroup:
                                        for s in self.generators])
 
     def normalizer(self, sub, bound=ELEMENT_ENUMERATION_BOUND):
-        """Normalizer of a subgroup, by scanning all elements."""
-        gens = []
-        sub_gens = [s.images for s in sub.generators]
-        for e in self.elements(bound):
-            inv = _invert(e)
-            if all(sub.contains_tuple(_compose(_compose(inv, s), e))
-                   for s in sub_gens):
-                gens.append(Permutation(e))
-        return PermGroup(self.degree, gens)
+        """Normalizer of a subgroup: its transporters into itself, adjoined
+        only while the group grown so far lacks them."""
+        norm = PermGroup(self.degree, [])
+        for e in self._transporters(sub, sub, bound):
+            if not norm.contains_tuple(e):
+                norm = norm._with(Permutation(e))
+        return norm
 
     # -- quotients
 
@@ -730,25 +732,32 @@ class PermGroup:
             counts[classes.element_to_class[e]] += 1
         return tuple(counts)
 
-    def _subgroups_conjugate(self, a, b):
-        if a.order != b.order:
-            return False
+    def _transporters(self, a, b, bound=ELEMENT_ENUMERATION_BOUND):
+        """The elements e of self with e^-1 a e <= b, in sorted order."""
+        b_elems = set(b.elements())
         a_gens = [g.images for g in a.generators]
-        for e in self.elements():
-            inv = _invert(e)
-            if all(b.contains_tuple(_compose(_compose(inv, g), e))
-                   for g in a_gens):
-                return True
-        return False
+        return (e for e in self.elements(bound)
+                if all(_conjugate(g, e) in b_elems for g in a_gens))
+
+    def _subgroups_conjugate(self, a, b):
+        return (a.order == b.order
+                and next(self._transporters(a, b), None) is not None)
 
     def subgroups_up_to_conjugacy(self, max_order=SUBGROUP_ENUMERATION_BOUND):
         """One representative per conjugacy class of subgroups.
 
-        Fixed-point closure: seed with the cyclic subgroups generated by
-        class representatives, then repeatedly adjoin single elements to
-        known representatives until nothing new appears. Deduplication is
-        by class-intersection profile first, with an explicit conjugacy
-        transporter search only on profile ties.
+        Cyclic extension: seed with the cyclic subgroups generated by
+        class representatives, then adjoin single elements e to known
+        representatives U until nothing new appears. Since
+        <U, e> = <U, u e v> for all u, v in U, one e per double coset
+        UeU is adjoined: the first in sorted order, the rest of UeU is
+        marked seen by closing {e} under U's generators on both sides.
+        A proper subgroup has order at most |G|/2, so each candidate is
+        grown from U's chain with that cap and dropped as soon as its
+        partial chain exceeds it. Deduplication is by class-intersection
+        profile first; only on profile ties does a transporter search
+        scan G, testing each conjugate of the generators against a hash
+        set of the other subgroup's elements.
         """
         if "subgroup_classes" in self._cache:
             return self._cache["subgroup_classes"]
@@ -783,13 +792,28 @@ class PermGroup:
             if idx is not None:
                 queue.append(idx)
 
+        # a proper subgroup has order at most |G|/2
+        cap = self.order // 2
         while queue:
             base = found[queue.pop(0)]
+            base_gens = [g.images for g in base.generators]
+            seen = set(base.elements())
             for e in elems:
-                if base.contains_tuple(e):
+                if e in seen:
                     continue
-                candidate = base._with(Permutation(e))
-                if candidate.order == self.order:
+                # <U, e> = <U, ueu'>: mark the double coset UeU
+                seen.add(e)
+                frontier = [e]
+                while frontier:
+                    x = frontier.pop()
+                    for g in base_gens:
+                        for y in (_compose(g, x), _compose(x, g)):
+                            if y not in seen:
+                                seen.add(y)
+                                frontier.append(y)
+                try:
+                    candidate = base._with(Permutation(e), _order_cap=cap)
+                except _OrderCapExceeded:
                     continue
                 idx = register(candidate)
                 if idx is not None:

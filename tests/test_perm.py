@@ -6,6 +6,8 @@ from qsikit.errors import CapacityError, DomainError, MalformedInputError
 from qsikit.perm import (
     PermGroup,
     Permutation,
+    _compose,
+    _invert,
     burnside_orbit_count,
     closure_order,
     format_generator_file,
@@ -349,14 +351,81 @@ def test_subgroup_classes(builder, expected_orders):
 
 def test_subgroup_class_count_vs_brute_force():
     # sum of normalizer indices over classes counts all subgroups
+    small_random = [g for g in random_small_groups() if 6 <= g.order <= 24]
     for group in (s4(),
                   schreier_sims([cyc(4, [0, 1, 2, 3]), cyc(4, [1, 3])]),
-                  a5()):
+                  a5(), *small_random):
         all_subs = brute_all_subgroups(group)
         classes = group.subgroups_up_to_conjugacy()
         total = sum(group.order // group.normalizer(sub).order
                     for sub in classes)
         assert total == len(all_subs)
+
+
+def reference_subgroups_up_to_conjugacy(group):
+    """The lattice by adjoining every element to every representative,
+    with no order cap and no double-coset pruning, and a conjugacy test
+    that sifts each conjugated generator."""
+    def conjugate(a, b):
+        if a.order != b.order:
+            return False
+        return any(all(b.contains_tuple(_compose(_compose(_invert(e),
+                                                          g.images), e))
+                       for g in a.generators)
+                   for e in group.elements())
+
+    found = []
+    by_profile = {}
+
+    def register(sub):
+        if sub.order == group.order:
+            return None
+        profile = group.class_intersection_profile(sub)
+        if any(conjugate(found[i], sub) for i in by_profile.get(profile, ())):
+            return None
+        by_profile.setdefault(profile, []).append(len(found))
+        found.append(sub)
+        return len(found) - 1
+
+    seeds = [PermGroup(group.degree, [])] + [
+        PermGroup(group.degree, [rep])
+        for rep in group.conjugacy_classes().representatives]
+    queue = [i for i in map(register, seeds) if i is not None]
+    while queue:
+        base = found[queue.pop(0)]
+        for e in group.elements():
+            if not base.contains_tuple(e):
+                idx = register(base._with(Permutation(e)))
+                if idx is not None:
+                    queue.append(idx)
+    result = found + [group]
+    result.sort(key=lambda sub: (sub.order,
+                                 group.class_intersection_profile(sub)
+                                 if sub.order < group.order else (0,)))
+    return result
+
+
+def lattice_signature(subgroups):
+    return [(sub.order, [g.images for g in sub.generators])
+            for sub in subgroups]
+
+
+def test_lattice_pruning_matches_reference():
+    # same representatives, with the same generators, in the same order
+    from qsikit import catalog
+
+    groups = [a5(), s4(), catalog.load("PSL27"), *random_small_groups()]
+    for group in groups:
+        assert lattice_signature(group.subgroups_up_to_conjugacy()) == \
+            lattice_signature(reference_subgroups_up_to_conjugacy(group))
+
+
+def test_s6_and_a7_subgroup_classes():
+    from qsikit import catalog
+
+    s6 = schreier_sims([cyc(6, list(range(6))), cyc(6, [0, 1])])
+    assert len(s6.subgroups_up_to_conjugacy()) == 56
+    assert len(catalog.load("A7").subgroups_up_to_conjugacy()) == 40
 
 
 def test_subgroup_enumeration_capacity():
@@ -380,6 +449,22 @@ def random_group(rng):
     n = rng.randint(2, 8)
     return PermGroup(n, [random_short_permutation(rng, n)
                          for _ in range(rng.randint(1, 3))])
+
+
+def random_small_groups(count=30, seed=20261017):
+    """Seeded random groups of degree <= 6 and order <= 360, small enough
+    for a brute-force lattice (S6 alone takes about 10 s there)."""
+    import random
+
+    rng = random.Random(seed)
+    groups = []
+    while len(groups) < count:
+        n = rng.randint(2, 6)
+        group = PermGroup(n, [random_short_permutation(rng, n)
+                              for _ in range(rng.randint(1, 3))])
+        if group.order <= 360:
+            groups.append(group)
+    return groups
 
 
 def test_engine_against_closure_on_random_groups():
