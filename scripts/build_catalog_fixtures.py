@@ -21,7 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qsikit.chartab import character_table, induce, kernel
-from qsikit.perm import PermGroup, Permutation, schreier_sims
+from qsikit.perm import PermGroup, Permutation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src/qsikit/fixtures"
 
@@ -145,14 +145,14 @@ def psu42():
                                                  for p in line)]
                             for line in lines])
 
-    full = schreier_sims([transvection(w) for w in iso_points])
+    full = PermGroup.from_generators([transvection(w) for w in iso_points])
     assert full.order == 25920
 
     rng = random.Random(2024)
     while True:
         a = full.random_element(rng)
         b = full.random_element(rng)
-        candidate = schreier_sims([a, b])
+        candidate = PermGroup.from_generators([a, b])
         if candidate.order == 25920:
             return [a, b]
 
@@ -167,7 +167,7 @@ def psu42_u160(group):
     while True:
         x = stabilizer.random_element(rng)
         y = stabilizer.random_element(rng)
-        candidate = schreier_sims([x, y])
+        candidate = PermGroup.from_generators([x, y])
         if candidate.order != 160:
             continue
         table = character_table(candidate)

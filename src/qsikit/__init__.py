@@ -50,7 +50,6 @@ from .perm import (
     format_generator_file,
     parse_cycle_string,
     parse_generator_file,
-    schreier_sims,
 )
 from .qsi import (
     QsiVerdict,

@@ -15,11 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from sympy import isprime, primitive_root
-
 from .cyclotomic import Cyclotomic, ONE, ZERO
 from .errors import DomainError, IntegrityError
 from .perm import _compose, _invert
+from .primes import is_prime, primitive_root
 
 
 class Character:
@@ -264,7 +263,7 @@ def _modulus_for(group, exponent, class_count):
     lower = max(2 * isqrt(group.order) + 1, class_count + 1)
     candidate = exponent + 1
     while True:
-        if candidate >= lower and isprime(candidate):
+        if candidate >= lower and is_prime(candidate):
             return candidate
         candidate += exponent
 

@@ -33,7 +33,8 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .lietype import FAMILIES, eliminate, group_order, zsigmondy
-from .perm import PermGroup, Permutation
+from .perm import (ELEMENT_ENUMERATION_BOUND, SUBGROUP_ENUMERATION_BOUND,
+                   PermGroup, Permutation)
 from .qsi import (
     SearchBounds,
     decide_qsi_character,
@@ -53,21 +54,22 @@ VERIFICATION_CASES = {}
 
 @dataclass
 class RunConfig:
-    max_subgroup_order: int = 30000
-    element_bound: int = 10**6
+    max_subgroup_order: int = SUBGROUP_ENUMERATION_BOUND
+    element_bound: int = ELEMENT_ENUMERATION_BOUND
     prefilters: bool = True
     json_output: bool = False
     fixtures: str | None = None
 
     def bounds(self):
-        return SearchBounds(self.max_subgroup_order, self.element_bound,
-                            self.prefilters)
+        return SearchBounds(self.max_subgroup_order, self.prefilters)
 
 
 def _config_from_args(args):
     return RunConfig(
-        max_subgroup_order=getattr(args, "max_group_order", 30000),
-        element_bound=getattr(args, "max_elements", 10**6),
+        max_subgroup_order=getattr(args, "max_group_order",
+                                   SUBGROUP_ENUMERATION_BOUND),
+        element_bound=getattr(args, "max_elements",
+                              ELEMENT_ENUMERATION_BOUND),
         prefilters=not getattr(args, "no_prefilters", False),
         json_output=args.json,
         fixtures=getattr(args, "fixtures", None),
@@ -111,16 +113,20 @@ def _cmd_table(args):
 
 
 def _select_character(table, selector):
-    if selector.startswith("@"):
-        index = int(selector[1:])
-        if not 0 <= index < len(table.irreducibles):
-            raise DomainError(f"character index {index} out of range")
-        return [table.irreducibles[index]]
-    degree = int(selector)
-    matches = table.by_degree(degree)
+    by_index = selector.startswith("@")
+    try:
+        number = int(selector[1:] if by_index else selector)
+    except ValueError:
+        raise DomainError(f"--char takes a degree or @index, not "
+                          f"{selector!r}") from None
+    if by_index:
+        if not 0 <= number < len(table.irreducibles):
+            raise DomainError(f"character index {number} out of range")
+        return [table.irreducibles[number]]
+    matches = table.by_degree(number)
     if not matches:
         raise DomainError(
-            f"no irreducible of degree {degree}; degrees are "
+            f"no irreducible of degree {number}; degrees are "
             f"{sorted(set(table.degrees))} (use @index to pick by position)")
     return matches
 
@@ -128,6 +134,7 @@ def _select_character(table, selector):
 def _cmd_qsi(args):
     config = _config_from_args(args)
     group = _resolve_group(args.group, config)
+    group.conjugacy_classes(bound=config.element_bound)
     table = character_table(group)
     bounds = config.bounds()
     mode = "monomial" if args.monomial else "QSI"
@@ -395,25 +402,26 @@ def build_parser():
                     "permutation groups, with Lie-type order arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, group_flags=False):
+    def add_common(p, group_flags=False, element_flag=False):
         p.add_argument("--json", action="store_true",
                        help="emit a JSON envelope instead of text")
         p.add_argument("--fixtures", default=None,
                        help="alternate fixtures directory")
-        if group_flags:
-            p.add_argument("--max-group-order", type=int, default=30000,
-                           help="subgroup enumeration bound")
-            p.add_argument("--max-elements", type=int, default=10**6,
+        if element_flag:
+            p.add_argument("--max-elements", type=int,
+                           default=ELEMENT_ENUMERATION_BOUND,
                            help="element enumeration bound")
+        if group_flags:
+            p.add_argument("--max-group-order", type=int,
+                           default=SUBGROUP_ENUMERATION_BOUND,
+                           help="subgroup enumeration bound")
             p.add_argument("--no-prefilters", action="store_true",
                            help="disable search prefilters (slower, "
                             "identical verdicts)")
 
     p = sub.add_parser("table", help="exact character table")
     p.add_argument("group")
-    p.add_argument("--max-elements", type=int, default=10**6,
-                   help="element enumeration bound")
-    add_common(p)
+    add_common(p, element_flag=True)
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("qsi", help="QSI / monomial decision")
@@ -422,7 +430,7 @@ def build_parser():
                    help="degree, or @index, of one irreducible")
     p.add_argument("--monomial", action="store_true",
                    help="restrict to k = 1 and linear phi")
-    add_common(p, group_flags=True)
+    add_common(p, group_flags=True, element_flag=True)
     p.set_defaults(fn=_cmd_qsi)
 
     p = sub.add_parser("order", help="Lie-type order formulas")

@@ -10,27 +10,22 @@ so equality and hashing are syntactic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import mpmath
 
 from .errors import DomainError, IntegrityError
+from .primes import prime_factors
 
 _SIGN_PRECISION_DIGITS = 60
 
 
+@cache
 def _phi(n):
     result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -369,7 +364,7 @@ def _descend_to_minimal(n, coeffs):
     changed = True
     while changed and n > 1:
         changed = False
-        for p in _prime_divisors(n):
+        for p in prime_factors(n):
             m = n // p
             down = _try_descend(n, coeffs, m)
             if down is not None:
@@ -377,20 +372,6 @@ def _descend_to_minimal(n, coeffs):
                 changed = True
                 break
     return n, list(coeffs)
-
-
-def _prime_divisors(n):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _try_descend(n, coeffs, m):

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-from sympy import factorint, isprime
-
 from .errors import DomainError, UnsupportedCaseError
+from .primes import is_prime, prime_factors
 
 # fast scan tries this many candidate divisors before factoring
 _SCAN_LIMIT = 60000
@@ -69,10 +68,8 @@ def zsigmondy(d, n):
         steps += 1
     if candidate * candidate > r:
         return r
-    if isprime(r):
-        return r
     # rare large cases (within the test grid only d^19 - 1 for a few d)
-    return min(factorint(r))
+    return prime_factors(r)[0]
 
 
 @dataclass(frozen=True)
@@ -103,12 +100,12 @@ def ppd_properties(d, n, p):
 
 
 def _prime_power(q):
-    if q < 2:
+    primes = prime_factors(q) if q >= 2 else ()
+    if len(primes) != 1:
         raise DomainError(f"q = {q} is not a prime power")
-    factors = factorint(q)
-    if len(factors) != 1:
-        raise DomainError(f"q = {q} is not a prime power")
-    ((p, r),) = factors.items()
+    p, r = primes[0], 0
+    while q > 1:
+        q, r = q // p, r + 1
     return p, r
 
 
@@ -509,7 +506,7 @@ def _candidate_overgroups(tag, n, q, flags):
         if n == 2 or (n, q) == (4, 2):
             flags.append("zsigmondy-exception-territory")
         out = [(f"Sp{2 * n // r}(q^{r}).{r}", _sp_order(n // r, q**r) * r)
-               for r in _divisors(n)[1:] if isprime(r)]
+               for r in _divisors(n)[1:] if is_prime(r)]
         if n % 2 == 1:
             out.append((f"GU{n}(q).2", _gu_order(n, q) * 2))
         out.append((f"O-{2 * n}(q).2", 2 * _omega_minus_sc(n, q)))
@@ -521,7 +518,7 @@ def _candidate_overgroups(tag, n, q, flags):
             if n == 3 and (q + 1) & q == 0:
                 flags.append("mersenne-q-special-case")
             return [(f"GU{n // r}(q^{r}).{r}", _gu_order(n // r, q**r) * r)
-                    for r in _divisors(n)[1:] if isprime(r) and r % 2 == 1]
+                    for r in _divisors(n)[1:] if is_prime(r) and r % 2 == 1]
         return [(f"GU1(q)xGU{n - 1}(q)",
                  _gu_order(1, q) * _gu_order(n - 1, q) * 2)]
     if tag == "Omega":
@@ -531,7 +528,7 @@ def _candidate_overgroups(tag, n, q, flags):
             flags.append("zsigmondy-exception-territory")
         out = [(f"O-{2 * n // r}(q^{r}).{r}",
                 2 * _omega_minus_sc(n // r, q**r) * r)
-               for r in _divisors(n)[1:] if isprime(r)]
+               for r in _divisors(n)[1:] if is_prime(r)]
         out.append((f"GU{n}(q).2", _gu_order(n, q) * 2))
         return out
     if tag == "OmegaPlus":
@@ -601,8 +598,7 @@ def eliminate(tag, n, q):
     primes_by_d = []
     for d in range(1, d_max + 1):
         if d == 1:
-            primes_by_d.append((1, sorted(factorint(q - 1)) if q > 2
-                                else []))
+            primes_by_d.append((1, prime_factors(q - 1)))
             continue
         p = zsigmondy(q, d)
         if p is None:
@@ -623,13 +619,3 @@ def eliminate(tag, n, q):
                              singer_torus_order(tag, n, q).element_order,
                              candidates, exceptions_hit, flags)
 
-
-# sampled data rows for groups handled by element-order arguments; the
-# Tits group is kept out of the Lie-type machinery (no unique character
-# of degree |G|_2) and recorded here only for its divisibility facts
-SPORADIC_SAMPLE_ROWS = {
-    "M11": {"chi_degree": 45, "element_orders": (8, 11),
-            "maximal_overgroup": None},
-    "Tits": {"chi_degree": 1728, "element_orders": (5, 13),
-             "maximal_overgroup": ("PSL", 2, 25)},
-}

@@ -828,11 +828,6 @@ class PermGroup:
         return result
 
 
-def schreier_sims(generators, degree=None):
-    """Build a PermGroup from generators (the main constructor)."""
-    return PermGroup.from_generators(generators, degree=degree)
-
-
 def closure_order(generators, degree=None, bound=ELEMENT_ENUMERATION_BOUND):
     """Group order by plain multiplicative closure; an independent check
     against the BSGS order."""

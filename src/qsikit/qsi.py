@@ -35,7 +35,7 @@ from .chartab import (
 )
 from .cyclotomic import Cyclotomic, ONE
 from .errors import DomainError, IntegrityError
-from .perm import PermGroup
+from .perm import SUBGROUP_ENUMERATION_BOUND, PermGroup
 
 STATUS_QSI = "QSI-with-witness"
 STATUS_MONOMIAL = "monomial-with-witness"
@@ -48,8 +48,7 @@ WITNESS_STATUSES = (STATUS_QSI, STATUS_MONOMIAL)
 
 @dataclass(frozen=True)
 class SearchBounds:
-    subgroup_order: int = 30000
-    element_bound: int = 10**6
+    subgroup_order: int = SUBGROUP_ENUMERATION_BOUND
     prefilters: bool = True
 
 
@@ -298,12 +297,10 @@ def group_is_qsi(verdicts):
     return all(v.has_witness for v in verdicts)
 
 
-def quotient_transfer_check(group, normal_subgroup, group_verdicts,
-                            quotient_verdicts):
+def quotient_transfer_check(group_verdicts, quotient_verdicts):
     """Check the closure property 'G QSI implies G/N QSI' on computed
     verdicts for G and for G/N. Vacuously true when G is not certified
-    QSI. The first two arguments document which pair was checked."""
-    del group, normal_subgroup
+    QSI."""
     if not group_is_qsi(group_verdicts):
         return True
     return group_is_qsi(quotient_verdicts)

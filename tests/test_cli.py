@@ -147,6 +147,28 @@ def test_capacity_exit_code(capsys, tmp_path):
     assert "100" in err
 
 
+def test_qsi_honours_max_elements(capsys, tmp_path):
+    from qsikit import catalog
+    from qsikit.perm import format_generator_file
+
+    path = tmp_path / "s4.gens"
+    path.write_text(format_generator_file(catalog.load("S4")))
+    code, _, err = run_cli(capsys, "qsi", str(path), "--max-elements", "5")
+    assert code == 3
+    assert "bound 5" in err
+    # verify-paper loads its groups per case and takes no element bound
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "a5-not-qsi", "--max-elements", "5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("selector", ["abc", "@x", "@"])
+def test_qsi_malformed_char_is_usage_error(capsys, selector):
+    code, _, err = run_cli(capsys, "qsi", "A5", "--char", selector)
+    assert code == 2
+    assert err.startswith("error:") and repr(selector) in err
+
+
 def test_verify_paper_a5(capsys, schema):
     code, data, _ = run_json(capsys, schema, "verify-paper", "a5-not-qsi")
     assert code == 0

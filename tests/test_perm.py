@@ -13,7 +13,6 @@ from qsikit.perm import (
     format_generator_file,
     parse_cycle_string,
     parse_generator_file,
-    schreier_sims,
 )
 
 
@@ -22,15 +21,16 @@ def cyc(n, *cycles):
 
 
 def a5():
-    return schreier_sims([cyc(5, [0, 1, 2]), cyc(5, [0, 1, 2, 3, 4])])
+    return PermGroup.from_generators([cyc(5, [0, 1, 2]),
+                                      cyc(5, [0, 1, 2, 3, 4])])
 
 
 def s4():
-    return schreier_sims([cyc(4, [0, 1, 2, 3]), cyc(4, [0, 1])])
+    return PermGroup.from_generators([cyc(4, [0, 1, 2, 3]), cyc(4, [0, 1])])
 
 
 def m11():
-    return schreier_sims([cyc(11, list(range(11))),
+    return PermGroup.from_generators([cyc(11, list(range(11))),
                           cyc(11, [2, 6, 10, 7], [3, 9, 4, 5])])
 
 
@@ -92,10 +92,11 @@ degree 5
 """
     degree, gens = parse_generator_file(text)
     assert degree == 5
-    assert schreier_sims(gens).order == 60
-    round_trip = format_generator_file(schreier_sims(gens))
+    assert PermGroup.from_generators(gens).order == 60
+    round_trip = format_generator_file(PermGroup.from_generators(gens))
     degree2, gens2 = parse_generator_file(round_trip)
-    assert degree2 == 5 and gens2 == list(schreier_sims(gens).generators)
+    assert degree2 == 5
+    assert gens2 == list(PermGroup.from_generators(gens).generators)
     with pytest.raises(MalformedInputError):
         parse_generator_file("(1,2)\n")
 
@@ -121,7 +122,7 @@ def test_trivial_and_empty_generators():
 
 def test_inconsistent_degrees():
     with pytest.raises(MalformedInputError):
-        schreier_sims([cyc(4, [0, 1]), cyc(5, [0, 1])])
+        PermGroup.from_generators([cyc(4, [0, 1]), cyc(5, [0, 1])])
 
 
 def test_m11_order_vs_exhaustive_closure():
@@ -192,8 +193,10 @@ def test_a5_classes_against_brute_force():
 
 
 def test_class_determinism_under_generator_order():
-    g1 = schreier_sims([cyc(5, [0, 1, 2]), cyc(5, [0, 1, 2, 3, 4])])
-    g2 = schreier_sims([cyc(5, [0, 1, 2, 3, 4]), cyc(5, [0, 1, 2])])
+    g1 = PermGroup.from_generators([cyc(5, [0, 1, 2]),
+                                    cyc(5, [0, 1, 2, 3, 4])])
+    g2 = PermGroup.from_generators([cyc(5, [0, 1, 2, 3, 4]),
+                                    cyc(5, [0, 1, 2])])
     c1 = g1.conjugacy_classes()
     c2 = g2.conjugacy_classes()
     assert [r.images for r in c1.representatives] == \
@@ -240,9 +243,10 @@ def brute_commutator_closure(group):
 
 def test_derived_subgroup_vs_brute_force():
     for group in (s4(), a5(),
-                  schreier_sims([cyc(4, [0, 1, 2, 3])]),
-                  schreier_sims([cyc(6, [0, 1, 2], [3, 4, 5]),
-                                 cyc(6, [0, 3], [1, 4], [2, 5])])):
+                  PermGroup.from_generators([cyc(4, [0, 1, 2, 3])]),
+                  PermGroup.from_generators([cyc(6, [0, 1, 2], [3, 4, 5]),
+                                             cyc(6, [0, 3], [1, 4],
+                                                 [2, 5])])):
         assert group.derived_subgroup().order == \
             brute_commutator_closure(group)
 
@@ -268,8 +272,8 @@ def test_solvability_vs_brute_force_up_to_500():
             current = sub
 
     targets = [s4(), a5(), catalog.load("PSL27"), catalog.load("A6"),
-               schreier_sims([cyc(8, list(range(8))), cyc(8, [1, 7],
-                                                          [2, 6], [3, 5])])]
+               PermGroup.from_generators([cyc(8, list(range(8))),
+                                          cyc(8, [1, 7], [2, 6], [3, 5])])]
     for group in targets:
         assert group.order <= 500
         assert group.is_solvable() == brute_solvable(group)
@@ -318,7 +322,8 @@ def test_quotient_order_always_index():
 def brute_all_subgroups(group):
     """Every subgroup, by closing all joins of cyclic subgroups."""
     elems = [Permutation(t) for t in group.elements()]
-    subgroups = {tuple(sorted(schreier_sims([e], group.degree).elements()))
+    subgroups = {tuple(sorted(
+        PermGroup.from_generators([e], group.degree).elements()))
                  for e in elems}
     subgroups.add(tuple([Permutation.identity(group.degree).images]))
     changed = True
@@ -330,7 +335,7 @@ def brute_all_subgroups(group):
                 gens = [Permutation(t) for t in a] + \
                     [Permutation(t) for t in b]
                 joined = tuple(sorted(
-                    schreier_sims(gens, group.degree).elements()))
+                    PermGroup.from_generators(gens, group.degree).elements()))
                 if joined not in subgroups:
                     subgroups.add(joined)
                     changed = True
@@ -338,9 +343,9 @@ def brute_all_subgroups(group):
 
 
 @pytest.mark.parametrize("builder,expected_orders", [
-    (lambda: schreier_sims([cyc(3, [0, 1, 2]), cyc(3, [0, 1])]),
+    (lambda: PermGroup.from_generators([cyc(3, [0, 1, 2]), cyc(3, [0, 1])]),
      [1, 2, 3, 6]),
-    (lambda: schreier_sims([cyc(4, [0, 1, 2, 3])]), [1, 2, 4]),
+    (lambda: PermGroup.from_generators([cyc(4, [0, 1, 2, 3])]), [1, 2, 4]),
     (a5, [1, 2, 3, 4, 5, 6, 10, 12, 60]),
 ])
 def test_subgroup_classes(builder, expected_orders):
@@ -353,7 +358,8 @@ def test_subgroup_class_count_vs_brute_force():
     # sum of normalizer indices over classes counts all subgroups
     small_random = [g for g in random_small_groups() if 6 <= g.order <= 24]
     for group in (s4(),
-                  schreier_sims([cyc(4, [0, 1, 2, 3]), cyc(4, [1, 3])]),
+                  PermGroup.from_generators([cyc(4, [0, 1, 2, 3]),
+                                             cyc(4, [1, 3])]),
                   a5(), *small_random):
         all_subs = brute_all_subgroups(group)
         classes = group.subgroups_up_to_conjugacy()
@@ -423,7 +429,7 @@ def test_lattice_pruning_matches_reference():
 def test_s6_and_a7_subgroup_classes():
     from qsikit import catalog
 
-    s6 = schreier_sims([cyc(6, list(range(6))), cyc(6, [0, 1])])
+    s6 = PermGroup.from_generators([cyc(6, list(range(6))), cyc(6, [0, 1])])
     assert len(s6.subgroups_up_to_conjugacy()) == 56
     assert len(catalog.load("A7").subgroups_up_to_conjugacy()) == 40
 
@@ -495,12 +501,13 @@ def test_engine_against_closure_on_random_groups():
 
 def test_burnside_orbit_count():
     assert burnside_orbit_count(a5()) == 1
-    two_orbits = schreier_sims([cyc(5, [0, 1, 2])])
+    two_orbits = PermGroup.from_generators([cyc(5, [0, 1, 2])])
     assert burnside_orbit_count(two_orbits) == 3  # {0,1,2}, {3}, {4}
 
 
 def test_is_simple():
     assert a5().is_simple()
     assert not s4().is_simple()
-    assert schreier_sims([cyc(3, [0, 1, 2])]).is_simple()  # prime order
+    # prime order
+    assert PermGroup.from_generators([cyc(3, [0, 1, 2])]).is_simple()
     assert not PermGroup.trivial(2).is_simple()

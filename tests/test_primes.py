@@ -1,0 +1,119 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+from sympy import factorint, isprime, nextprime
+from sympy import primitive_root as sympy_primitive_root
+
+import qsikit
+from qsikit.primes import is_prime, prime_factors, primitive_root
+
+# is_prime switches from Miller-Rabin to strong BPSW at this bound
+MR_EXACT_BELOW = 3317044064679887385961981
+
+budget = settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841,
+              29341, 41041, 46657, 52633, 62745, 63973, 75361, 101101,
+              115921, 126217, 162401, 172081, 188461, 252601, 278545,
+              294409, 314821, 334153, 340561, 399001, 410041, 449065,
+              488881, 512461)
+
+# the smallest strong pseudoprime to all of the first k prime bases,
+# for k = 1, 2, ..., 13 (the last one is the Miller-Rabin bound itself)
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1
+                                   for r in range(1, s))
+
+
+def test_small_range_matches_sympy():
+    primes = [n for n in range(-3, 20000) if is_prime(n)]
+    assert primes == [n for n in range(-3, 20000) if isprime(n)]
+    for p in primes[:700]:
+        assert primitive_root(p) == sympy_primitive_root(p)
+
+
+@budget
+@given(st.integers(min_value=2, max_value=MR_EXACT_BELOW - 1))
+def test_is_prime_below_the_bound(n):
+    assert is_prime(n) == isprime(n)
+
+
+@budget
+@given(st.integers(min_value=MR_EXACT_BELOW, max_value=2**200))
+def test_is_prime_at_and_above_the_bound(n):
+    assert is_prime(n) == isprime(n)
+
+
+@settings(budget, max_examples=60)
+@given(st.integers(min_value=MR_EXACT_BELOW, max_value=2**160))
+def test_bpsw_on_primes_and_their_products(n):
+    p = nextprime(n)
+    assert is_prime(p)
+    assert not is_prime(p * nextprime(p))
+    assert not is_prime(p * p)
+
+
+def test_carmichael_numbers_are_composite():
+    for n in CARMICHAEL:
+        factors = factorint(n)
+        # Korselt: squarefree with p - 1 | n - 1 for every prime p | n
+        assert len(factors) >= 3 and set(factors.values()) == {1}
+        assert all((n - 1) % (p - 1) == 0 for p in factors)
+        assert not is_prime(n)
+
+
+def test_strong_pseudoprimes_are_composite():
+    for k, n in enumerate(STRONG_PSEUDOPRIMES, start=1):
+        assert all(strong_probable_prime(n, a) for a in PRIME_BASES[:k])
+        assert not isprime(n)
+        assert not is_prime(n)
+    # the bound itself is a strong pseudoprime to every base below 43,
+    # so only the BPSW branch can reject it
+    assert STRONG_PSEUDOPRIMES[-1] == MR_EXACT_BELOW
+
+
+@budget
+@given(st.integers(min_value=1, max_value=2**60))
+def test_prime_factors_match_factorint(n):
+    assert prime_factors(n) == sorted(factorint(n))
+
+
+@settings(budget, max_examples=40)
+@given(st.integers(min_value=2**16, max_value=2**32),
+       st.integers(min_value=2**16, max_value=2**32),
+       st.integers(min_value=1, max_value=3))
+def test_prime_factors_of_products_of_large_primes(a, b, e):
+    p, q = nextprime(a), nextprime(b)
+    assert prime_factors(p**e * q) == sorted({p, q})
+
+
+@budget
+@given(st.integers(min_value=1, max_value=10**7))
+def test_primitive_root_is_sympys(n):
+    p = nextprime(n)
+    assert primitive_root(p) == sympy_primitive_root(p)
+
+
+def test_import_leaves_sympy_out():
+    src = Path(qsikit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, qsikit.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

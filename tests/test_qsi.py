@@ -278,16 +278,13 @@ def test_quotient_transfer_check():
     q = s4.quotient(v4)
     s4_verdicts = decide_qsi_group(s4)
     q_verdicts = decide_qsi_group(q)
-    assert quotient_transfer_check(s4, v4, s4_verdicts, q_verdicts)
+    assert quotient_transfer_check(s4_verdicts, q_verdicts)
     # trivial quotient
     whole = s4.quotient(s4)
-    assert quotient_transfer_check(s4, s4, s4_verdicts,
-                                   decide_qsi_group(whole))
+    assert quotient_transfer_check(s4_verdicts, decide_qsi_group(whole))
     # vacuous for a non-QSI group
-    a5 = catalog.load("A5")
-    a5_verdicts = decide_qsi_group(a5)
-    assert quotient_transfer_check(a5, PermGroup(5, []), a5_verdicts,
-                                   a5_verdicts)
+    a5_verdicts = decide_qsi_group(catalog.load("A5"))
+    assert quotient_transfer_check(a5_verdicts, a5_verdicts)
 
 
 # -- sampling sweep
