@@ -61,7 +61,7 @@ def load(group_id, fixtures_path=None):
 def load_file(path):
     """Load a group from a generator-format file."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise NotFoundError(f"no generator file at {path}")
     degree, gens = parse_generator_file(path.read_text())
     return PermGroup(degree, gens)

@@ -39,9 +39,6 @@ class Character:
     def degree(self):
         return self.values[0].integer_value()
 
-    def value_at_class(self, index):
-        return self.values[index]
-
     def value_at(self, perm):
         classes = self.group.conjugacy_classes()
         return self.values[classes.class_of(perm)]
@@ -78,9 +75,6 @@ class Character:
 
     def sort_key(self):
         return (self.degree, tuple(v.sort_key() for v in self.values))
-
-    def is_linear(self):
-        return self.degree == 1
 
     def __repr__(self):
         return f"Character(degree={self.degree}, values={list(map(str, self.values))})"

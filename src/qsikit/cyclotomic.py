@@ -247,9 +247,6 @@ class Cyclotomic:
     def is_zero(self):
         return self.conductor == 1 and self.coeffs[0] == 0
 
-    def is_rational(self):
-        return self.conductor == 1
-
     def is_real(self):
         return self == self.conjugate()
 

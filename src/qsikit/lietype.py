@@ -426,13 +426,6 @@ class EliminationReport:
     zsigmondy_exceptions_hit: list = field(default_factory=list)
     flags: list = field(default_factory=list)
 
-    @property
-    def missing_ppds(self):
-        out = []
-        for candidate in self.candidates:
-            out.extend(candidate.missing_primes)
-        return sorted(set(out))
-
     def to_json(self):
         return {
             "family": self.family,

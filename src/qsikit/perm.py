@@ -509,9 +509,6 @@ class PermGroup:
         self._cache["elements"] = result
         return result
 
-    def element_permutations(self, bound=ELEMENT_ENUMERATION_BOUND):
-        return [Permutation(t) for t in self.elements(bound)]
-
     def random_element(self, rng):
         """Uniformly random element via the BSGS coset decomposition."""
         t = tuple(range(self.degree))

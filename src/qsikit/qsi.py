@@ -333,8 +333,11 @@ def random_subgroup_sweep(group, chi, *, samples=10000, seed=0,
     Deduplication is by (order, class intersection profile), which is
     conjugation invariant. Returns a SweepReport whose verdict is
     refuted-by-prefilter when every sampled class was rejected; this is
-    sampling evidence, not an exhaustive refutation.
+    sampling evidence, not an exhaustive refutation. Raises DomainError
+    when samples < 1, since no samples refute nothing.
     """
+    if samples < 1:
+        raise DomainError(f"the sweep needs at least 1 sample, not {samples}")
     rng = random.Random(seed)
     half = group.order // 2
     seen = {}

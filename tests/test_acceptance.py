@@ -5,7 +5,7 @@ stated budget and printing one PASS/FAIL line (visible with pytest -s).
 import time
 from math import gcd
 
-from qsikit import catalog
+from qsikit import catalog, paper
 from qsikit.chartab import (
     character_table,
     induce,
@@ -13,17 +13,12 @@ from qsikit.chartab import (
     kernel,
 )
 from qsikit.cyclotomic import Cyclotomic, ONE, ZERO
-from qsikit.cli import check_restriction_identity
 from qsikit.lietype import eliminate, group_order, zsigmondy
-from qsikit.perm import PermGroup
+from qsikit.perm import PermGroup, Permutation
 from qsikit.qsi import (
-    QsiWitness,
     SearchBounds,
-    decide_monomial_character,
-    decide_qsi_character,
     decide_qsi_group,
     group_is_qsi,
-    random_subgroup_sweep,
     steinberg_kernel_constraint,
     verify_qsi_witness,
 )
@@ -121,30 +116,32 @@ def test_criterion_03_character_table_exactness():
 def test_criterion_04_a5_refutation():
     with Criterion(4, 30, "A5 degree-4 character refuted over all "
                           "9 subgroup classes"):
-        group = catalog.load("A5")
-        verdicts = decide_qsi_group(group)
+        ok, details, _ = paper.a5_not_qsi()
+        verdicts = details["verdicts"]
         chi4_verdict = next(v for v in verdicts
-                            if v.character.degree == 4)
-        assert chi4_verdict.status == "refuted-exhaustive"
-        assert len(chi4_verdict.pruning_log) == 9
-        assert len(group.subgroups_up_to_conjugacy()) == 9
-        assert not group_is_qsi(verdicts)
+                            if v["character_degree"] == 4)
+        assert chi4_verdict["status"] == "refuted-exhaustive"
+        assert len(chi4_verdict["pruning_log"]) == 9
+        assert len(catalog.load("A5").subgroups_up_to_conjugacy()) == 9
+        # group_is_qsi: every verdict carries a witness
+        assert not all(v["witness"] for v in verdicts)
+        assert ok
 
 
 def test_criterion_05_psl27_steinberg_monomial_degree6_refuted():
     with Criterion(5, 300, "PSL(2,7) Steinberg characters monomial, "
                            "degree 6 refuted"):
-        group = catalog.load("PSL27")
+        group, verdicts = paper.psl27_verdicts()
         table = character_table(group)
         for degree in (7, 8):
-            verdict = decide_monomial_character(
-                group, table.unique_by_degree(degree))
+            verdict = verdicts[degree]
             assert verdict.status == "monomial-with-witness"
             witness = verdict.witness
             assert witness.phi.degree == 1 and witness.multiplier == 1
             assert verify_qsi_witness(group, table.unique_by_degree(degree),
                                       witness)
-        verdict6 = decide_qsi_character(group, table.unique_by_degree(6))
+        verdict6 = verdicts[6]
+        assert verdict6.character == table.unique_by_degree(6)
         assert verdict6.status == "refuted-exhaustive"
         assert len(verdict6.pruning_log) == \
             len(group.subgroups_up_to_conjugacy())
@@ -153,13 +150,12 @@ def test_criterion_05_psl27_steinberg_monomial_degree6_refuted():
 def test_criterion_06_psp43_witness_and_prefilter_sweep():
     with Criterion(6, 300, "PSp4(3) 2*St witness verified and sweep "
                            "rejects all sampled classes"):
-        group, subgroup, entry = catalog.load_subgroup("PSU42_U160")
+        group, steinberg, witness = paper.psp43_witness()
+        subgroup, phi = witness.subgroup, witness.phi
         assert group.order // subgroup.order == 162
         table = character_table(group)
-        steinberg = table.unique_by_degree(81)
+        assert steinberg == table.unique_by_degree(81)
         assert len(table.by_degree(81)) == 1
-        phi = character_table(subgroup).irreducibles[
-            entry["witness_linear_char_index"]]
         assert phi.degree == 1
         assert induce(phi, group) == 2 * steinberg
         phi_kernel = kernel(phi)
@@ -167,12 +163,10 @@ def test_criterion_06_psp43_witness_and_prefilter_sweep():
         assert steinberg_kernel_constraint(subgroup, phi, 3)
         quotient = subgroup.quotient(phi_kernel)
         assert quotient.is_solvable()
-        witness = QsiWitness(subgroup, entry["witness_linear_char_index"],
-                             phi, 2, quotient.order)
+        assert witness.multiplier == 2
+        assert witness.solvable_quotient_order == quotient.order
         assert verify_qsi_witness(group, steinberg, witness)
-        report = random_subgroup_sweep(group, steinberg, samples=10000,
-                                       seed=11, monomial=True,
-                                       steinberg_prime=3)
+        report = paper.steinberg_sweep(group, steinberg, samples=10000)
         assert report.verdict.status == "refuted-by-prefilter"
         assert not report.unrejected
         assert report.distinct_classes >= 10
@@ -181,27 +175,17 @@ def test_criterion_06_psp43_witness_and_prefilter_sweep():
 def test_criterion_07_restriction_identity():
     with Criterion(7, 120, "restriction identity for n = 7, 8, 9"):
         for n in (7, 8, 9):
-            assert check_restriction_identity(n)
+            assert paper.restriction_identity(n)
 
 
 def test_criterion_08_m11_generation_sampling():
     with Criterion(8, 120, "200 random (order 8, order 11) pairs "
                            "generate M11"):
-        import random
-
-        group = catalog.load("M11")
-        classes = group.conjugacy_classes()
-        pool8 = [e for members, order in
-                 zip(classes.class_elements, classes.rep_orders)
-                 if order == 8 for e in members]
-        pool11 = [e for members, order in
-                  zip(classes.class_elements, classes.rep_orders)
-                  if order == 11 for e in members]
-        assert pool8 and pool11
-        rng = random.Random(8)
-        for _ in range(200):
-            x = rng.choice(pool8)
-            y = rng.choice(pool11)
+        group, pairs = paper.m11_pairs()
+        assert len(pairs) == 200
+        for x, y in pairs:
+            assert Permutation(x).order() == 8
+            assert Permutation(y).order() == 11
             assert PermGroup(group.degree, [x, y]).order == 7920
 
 

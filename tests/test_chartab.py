@@ -197,9 +197,9 @@ def test_restrict_regular_character():
 
 
 def test_restriction_identity_a7_to_a5():
-    from qsikit.cli import check_restriction_identity
+    from qsikit.paper import restriction_identity
 
-    assert check_restriction_identity(7)
+    assert restriction_identity(7)
 
 
 def test_clifford_multiple_on_invariant_constituent():

@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from qsikit import paper
 from qsikit.cli import main
 
 
@@ -169,10 +170,16 @@ def test_qsi_malformed_char_is_usage_error(capsys, selector):
     assert err.startswith("error:") and repr(selector) in err
 
 
-def test_verify_paper_a5(capsys, schema):
-    code, data, _ = run_json(capsys, schema, "verify-paper", "a5-not-qsi")
+@pytest.mark.parametrize("case", sorted(paper.CASES))
+def test_verify_paper_case(capsys, schema, case):
+    extra = ["--samples", "120"] if case == "psp43-2st-witness" else []
+    code, data, _ = run_json(capsys, schema, "verify-paper", case, *extra)
     assert code == 0
+    assert data["result"]["case"] == case
     assert data["result"]["ok"] is True
+    if case == "psp43-2st-witness":
+        sweep = data["result"]["details"]["sweep"]
+        assert sweep["status"] == "refuted-by-prefilter"
 
 
 def test_verify_paper_unknown_case(capsys):
@@ -181,10 +188,26 @@ def test_verify_paper_unknown_case(capsys):
     assert "nope" in err
 
 
-def test_verify_paper_psp43_small_sample(capsys, schema):
-    code, data, _ = run_json(capsys, schema, "verify-paper",
-                             "psp43-2st-witness", "--samples", "120")
-    assert code == 0
-    assert data["result"]["ok"] is True
-    sweep = data["result"]["details"]["sweep"]
-    assert sweep["status"] == "refuted-by-prefilter"
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_paper_sweep_needs_samples(capsys, samples):
+    code, out, err = run_cli(capsys, "verify-paper", "psp43-2st-witness",
+                             "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and samples in err
+
+
+def test_table_of_a_directory_is_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "table", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+def test_malformed_generator_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.gens"
+    path.write_text("degree 3\n(1,5)\n")
+    code, out, err = run_cli(capsys, "table", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "degree 3" in err

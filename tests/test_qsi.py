@@ -298,3 +298,11 @@ def test_sweep_on_psl27_degree6_monomial():
     assert report.verdict.status == "refuted-by-prefilter"
     assert report.distinct_classes >= 3
     assert not report.unrejected
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sweep_without_samples_is_domain_error(samples):
+    group = catalog.load("PSL27")
+    chi6 = character_table(group).unique_by_degree(6)
+    with pytest.raises(DomainError, match=str(samples)):
+        random_subgroup_sweep(group, chi6, samples=samples, seed=3)
