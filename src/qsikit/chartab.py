@@ -481,6 +481,10 @@ def induce_pointwise(phi, group):
 
     For U = G the sum collapses exactly: phi(x^y) ranges over the class
     of x, each value hit |C_G(x)| times, so the average is phi(x).
+    Otherwise each conjugate x^y is looked up in U's element-to-class
+    map, which holds every element of U: a hit gives its U-class, a miss
+    means x^y is not in U. The sum still runs over every element of G
+    and reads no fusion, so it stays independent of `induce`.
     """
     subgroup = phi.group
     if not subgroup.is_subgroup_of(group):
@@ -495,16 +499,14 @@ def induce_pointwise(phi, group):
     s_classes = subgroup.conjugacy_classes()
     elements = group.elements()
     inverses = [_invert(y) for y in elements]
-    membership = subgroup.contains_tuple
-    lookup = s_classes.element_to_class
+    lookup = s_classes.element_to_class.get
     values = []
     for rep in g_classes.representatives:
         x = rep.images
         hits = {}
         for y, y_inv in zip(elements, inverses):
-            conj = _compose(_compose(y_inv, x), y)
-            if membership(conj):
-                index = lookup[conj]
+            index = lookup(_compose(y_inv, _compose(x, y)))
+            if index is not None:
                 hits[index] = hits.get(index, 0) + 1
         total = ZERO
         for index, count in sorted(hits.items()):

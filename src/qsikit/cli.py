@@ -183,6 +183,9 @@ def _cmd_verify_paper(args):
         print(f"unknown case {args.case!r}; known cases: "
               f"{', '.join(sorted(paper.CASES))}", file=sys.stderr)
         return EXIT_USAGE
+    if args.samples < 1:
+        raise DomainError(
+            f"the sweep needs at least 1 sample, not {args.samples}")
     ok, result, lines = paper.CASES[args.case](
         fixtures=args.fixtures, bounds=_search_bounds(args),
         samples=args.samples)

@@ -11,6 +11,10 @@ algorithms are used anywhere on the query paths.
 
 Composition convention: ``(p * q)(i) == q(p(i))``, i.e. p acts first.
 Points are 0-based internally; the text file format uses 1-based cycles.
+Internally a permutation is its image tuple, and "p then q" is
+``operator.itemgetter(*p)(q)``: one C-level call that indexes q at every
+image of p, which is what every layer above (sifting, orbits, element and
+class enumeration, class matrices) spends its time on.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import itertools
 import re
 from fractions import Fraction
 from math import gcd, prod
+from operator import itemgetter
 
 from .errors import (
     CapacityError,
@@ -37,7 +42,9 @@ SUBGROUP_ENUMERATION_BOUND = 30000
 
 def _compose(p, q):
     """Image tuple of "p then q" for image tuples p, q."""
-    return tuple(q[i] for i in p)
+    if len(p) == 1:  # itemgetter of one index returns a bare item
+        return (q[p[0]],)
+    return itemgetter(*p)(q)
 
 
 def _invert(p):
@@ -319,11 +326,33 @@ def _build_bsgs(degree, gens, levels, order_cap=None):
     returned. With order_cap set, raises _OrderCapExceeded as soon as
     the partial chain (always a subgroup of the target) certifies
     order > cap.
+
+    Level k is closed by sifting the Schreier generator of every pair
+    (a, j) of an orbit point a and a generator index j, in the order of
+    sorted points and then generators, through levels k + 1 onwards. The
+    first non-trivial residue becomes a new strong generator and the
+    loop drops to the level it sifted to. Each pair is sifted at most
+    once per build: transversal entries are only ever added, never
+    replaced, so a pair's Schreier generator and its sift path stay what
+    they were, and a pair that sifted to the identity still does (the
+    pair whose residue was just adjoined now does too, since its residue
+    is the new transversal entry of the point it reached). Skipping done
+    pairs therefore finds the same residues in the same order as
+    re-sifting each level from its first pair, and leaves every
+    transversal as it was.
     """
     identity = tuple(range(degree))
     # levels above k are complete; only levels a new strong generator
     # joined need their Schreier generators sifted
     k = -1
+    # sifted[k][a]: the pairs (a, j) with j below this count are done
+    sifted = {}
+
+    def schreier_pairs(level, done):
+        for a in sorted(level.transversal):
+            for j in range(done.get(a, 0), len(level.gens)):
+                done[a] = j + 1
+                yield a, level.gens[j]
 
     def add_strong_generator(t, level_index):
         # t fixes the base points before level_index
@@ -345,7 +374,7 @@ def _build_bsgs(degree, gens, levels, order_cap=None):
     # close the chain bottom-up by sifting Schreier generators
     while k >= 0:
         level = levels[k]
-        for a, g in itertools.product(sorted(level.transversal), level.gens):
+        for a, g in schreier_pairs(level, sifted.setdefault(k, {})):
             schreier = _compose(_compose(level.transversal[a], g),
                                 level.inverses[g[a]])
             residue, i = _sift(levels, schreier, k + 1)

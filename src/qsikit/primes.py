@@ -8,13 +8,15 @@ probable-prime test and a strong Lucas test with Selfridge's parameters.
 No composite is known to pass it, but none is proven not to.
 """
 
-from itertools import count
+from functools import cache
+from itertools import compress, count
 from math import gcd, isqrt
 
 _SMALL_PRIMES = tuple(p for p in range(2, 1000)
                       if all(p % d for d in range(2, isqrt(p) + 1)))
 _MR_BASES = _SMALL_PRIMES[:13]  # 2, 3, ..., 41
 _MR_EXACT_BELOW = 3317044064679887385961981
+_PM1_BOUND = 30000  # smoothness bound B of the p - 1 stage
 
 
 def _strong_probable_prime(n, a):
@@ -112,8 +114,43 @@ def _brent_rho(n, c):
     return g
 
 
+@cache
+def _pm1_exponent():
+    """The product, over the primes up to B, of each one's largest power
+    that is at most B: every p - 1 whose prime powers are all at most B
+    divides it. Built on first use, so importing the module stays
+    cheap."""
+    sieve = bytearray([1]) * (_PM1_BOUND + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(_PM1_BOUND) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, _PM1_BOUND + 1, p)))
+    exponent = 1
+    for p in compress(range(_PM1_BOUND + 1), sieve):
+        power = p
+        while power * p <= _PM1_BOUND:
+            power *= p
+        exponent *= power
+    return exponent
+
+
+def _pollard_pm1(n):
+    """A proper divisor of the odd composite n by Pollard's p - 1 method
+    (one stage, bound B), or None. The gcd it takes holds every prime p
+    of n whose p - 1 divides the exponent (and any other p where the
+    order of 2 does); None when that is no prime of n or all of them."""
+    g = gcd(pow(2, _pm1_exponent(), n) - 1, n)
+    return g if 1 < g < n else None
+
+
 def prime_factors(n):
-    """The distinct prime factors of n >= 1, in increasing order."""
+    """The distinct prime factors of n >= 1, in increasing order.
+
+    Trial division by the primes below 1000 comes first. Each composite
+    left after it goes to Pollard's p - 1 method, which splits off the
+    primes with a smooth p - 1 at the cost of one modular power, and, if
+    that fails, to Pollard rho in Brent's variant.
+    """
     found = set()
     for p in _SMALL_PRIMES:
         if p * p > n:
@@ -128,7 +165,8 @@ def prime_factors(n):
         if is_prime(m):
             found.add(m)
             continue
-        d = next(d for d in (_brent_rho(m, c) for c in count(1)) if d != m)
+        d = _pollard_pm1(m) or next(
+            d for d in (_brent_rho(m, c) for c in count(1)) if d != m)
         stack += [d, m // d]
     return sorted(found)
 

@@ -156,10 +156,13 @@ def test_induced_permutation_character_transitive():
 
 
 def test_induce_matches_pointwise_formula():
-    group = a5()
-    sub = a4_in_a5()
-    for phi in character_table(sub).irreducibles:
-        assert induce(phi, group) == induce_pointwise(phi, group)
+    psl27 = catalog.load("PSL27")
+    cases = [(a5(), [a4_in_a5()]),
+             (psl27, psl27.subgroups_up_to_conjugacy())]
+    for group, subgroups in cases:
+        for sub in subgroups:
+            for phi in character_table(sub).irreducibles:
+                assert induce(phi, group) == induce_pointwise(phi, group)
 
 
 def test_induction_transitive_in_chain():

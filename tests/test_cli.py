@@ -189,12 +189,21 @@ def test_verify_paper_unknown_case(capsys):
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
-def test_verify_paper_sweep_needs_samples(capsys, samples):
+def test_verify_paper_sweep_needs_samples(capsys, monkeypatch, samples):
+    # the count is checked before the case builds anything
+    calls = []
+
+    def case(**kwargs):
+        calls.append(kwargs)
+        return True, {}, []
+
+    monkeypatch.setitem(paper.CASES, "psp43-2st-witness", case)
     code, out, err = run_cli(capsys, "verify-paper", "psp43-2st-witness",
                              "--samples", samples)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and samples in err
+    assert calls == []
 
 
 def test_table_of_a_directory_is_usage_error(capsys, tmp_path):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +9,7 @@ from qsikit.perm import (
     PermGroup,
     Permutation,
     _compose,
+    _conjugate,
     _invert,
     burnside_orbit_count,
     closure_order,
@@ -55,6 +58,71 @@ def test_associativity_spot_check():
     perms = [cyc(5, [0, 1, 2]), cyc(5, [1, 4]), cyc(5, [0, 3], [1, 2])]
     for a, b, c in itertools.product(perms, repeat=3):
         assert (a * b) * c == a * (b * c)
+
+
+# the permutation kernel against the plain formulas, on image tuples
+
+
+def reference_compose(p, q):
+    return tuple(q[i] for i in p)
+
+
+def reference_invert(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def reference_power(p, k):
+    step = p if k >= 0 else reference_invert(p)
+    result = tuple(range(len(p)))
+    for _ in range(abs(k)):
+        result = reference_compose(result, step)
+    return result
+
+
+def reference_closure(gens, n):
+    elements = {tuple(range(n))}
+    frontier = list(elements)
+    while frontier:
+        found = []
+        for x in frontier:
+            for g in gens:
+                y = reference_compose(x, g)
+                if y not in elements:
+                    elements.add(y)
+                    found.append(y)
+        frontier = found
+    return elements
+
+
+def random_images(rng, n):
+    images = list(range(n))
+    rng.shuffle(images)
+    return tuple(images)
+
+
+def test_kernel_matches_reference_formulas():
+    rng = random.Random(20261018)
+    for n in range(1, 31):  # degree 1 makes itemgetter return a bare item
+        for _ in range(10):
+            p, q, t = (random_images(rng, n) for _ in range(3))
+            assert _compose(p, q) == reference_compose(p, q)
+            assert _invert(p) == reference_invert(p)
+            assert _conjugate(t, p) == reference_compose(
+                reference_compose(reference_invert(p), t), p)
+            assert (Permutation(p) * Permutation(q)).images == \
+                reference_compose(p, q)
+            k = rng.randrange(-30, 31)
+            assert (Permutation(p) ** k).images == reference_power(p, k)
+            # membership: every permutation in small degrees, else the
+            # cyclic group <p> and q
+            gens = [p, t] if n <= 6 else [p]
+            closure = reference_closure(gens, n)
+            group = PermGroup(n, gens)
+            assert group.order == len(closure)
+            candidates = (itertools.permutations(range(n)) if n <= 6
+                          else [q, *closure])
+            for x in candidates:
+                assert group.contains_tuple(x) == (x in closure)
 
 
 def test_order_and_cycles():
@@ -497,6 +565,38 @@ def test_engine_against_closure_on_random_groups():
             stabilizer = group.point_stabilizer(point)
             assert stabilizer.order * len(orbit) == group.order
             assert all(g(point) == point for g in stabilizer.generators)
+
+
+# The base points and transversals of 400 seeded chains, recorded before
+# the Schreier-Sims builder skipped the pairs it had already sifted. Any
+# change to the order in which Schreier generators are sifted, or to which
+# of them are, shows up here as a different transversal somewhere.
+PINNED_CHAINS_SHA256 = ("aed948257268a76697f48716c6be2f2b"
+                        "b1b94317a581cca4426c1e6f63f97212")
+
+
+def random_transposition_product(rng, n):
+    images = list(range(n))
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        images[a], images[b] = images[b], images[a]
+    return Permutation(images)
+
+
+def test_bsgs_chains_are_pinned():
+    rng = random.Random(20261020)
+    chains = []
+    for _ in range(200):
+        n = rng.randint(2, 14)
+        group = PermGroup(n, [random_transposition_product(rng, n)
+                              for _ in range(rng.randint(1, 3))])
+        # a chain continued from a built one, as the lattice grows them
+        grown = group._with(random_transposition_product(rng, n))
+        for g in (group, grown):
+            chains.append([(level.beta, sorted(level.transversal.items()))
+                           for level in g._levels])
+    digest = hashlib.sha256(repr(chains).encode()).hexdigest()
+    assert digest == PINNED_CHAINS_SHA256
 
 
 def test_burnside_orbit_count():

@@ -8,7 +8,7 @@ from sympy import factorint, isprime, nextprime
 from sympy import primitive_root as sympy_primitive_root
 
 import qsikit
-from qsikit.primes import is_prime, prime_factors, primitive_root
+from qsikit.primes import _pollard_pm1, is_prime, prime_factors, primitive_root
 
 # is_prime switches from Miller-Rabin to strong BPSW at this bound
 MR_EXACT_BELOW = 3317044064679887385961981
@@ -101,6 +101,23 @@ def test_prime_factors_match_factorint(n):
 def test_prime_factors_of_products_of_large_primes(a, b, e):
     p, q = nextprime(a), nextprime(b)
     assert prime_factors(p**e * q) == sorted({p, q})
+
+
+def test_pollard_pm1_splits_the_primitive_part_of_50_19():
+    # zsigmondy(50, 19) factors this 102-bit number; its smaller prime p
+    # has a smooth p - 1, the larger one does not
+    n = (50**19 - 1) // 49
+    p = 41958116255687
+    assert factorint(p - 1) == {2: 1, 19: 1, 53: 1, 499: 1, 1907: 1,
+                                21893: 1}
+    assert _pollard_pm1(n) == p
+    expected = sorted(factorint(n))
+    assert prime_factors(n) == expected
+    # every prime of 1009 * p has a smooth p - 1, so the p - 1 stage
+    # gets all of it back and leaves the split to rho
+    assert factorint(1008) == {2: 4, 3: 2, 7: 1}
+    assert _pollard_pm1(1009 * p) is None
+    assert prime_factors(1009 * n) == [1009] + expected
 
 
 @budget

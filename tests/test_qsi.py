@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from qsikit import catalog
@@ -306,3 +309,34 @@ def test_sweep_without_samples_is_domain_error(samples):
     chi6 = character_table(group).unique_by_degree(6)
     with pytest.raises(DomainError, match=str(samples)):
         random_subgroup_sweep(group, chi6, samples=samples, seed=3)
+
+
+# The sampling stream of PSU(4,2) = PSp4(3) on 27 points, recorded before
+# the permutation kernel used itemgetter and before Schreier-Sims skipped
+# pairs it had already sifted. random_element reads the BSGS transversals,
+# so a change to any transversal changes these values.
+PSU42_FIRST_SAMPLE = (18, 24, 21, 19, 1, 10, 20, 15, 6, 14, 11, 17, 12, 7,
+                      26, 13, 22, 0, 5, 3, 4, 2, 16, 25, 8, 23, 9)
+PSU42_SAMPLES_SHA256 = ("ab1a9435e0a1f223e9fd15c51c25d055"
+                        "e695121252a6bcf5966b8611c250f193")
+# the orders of the sweep's proper subgroup classes, in order of discovery
+PSU42_SWEEP_ORDERS = (576, 960, 192, 360, 324, 120, 720, 648, 24, 24, 108,
+                      648, 216, 192, 288, 20, 80, 120)
+
+
+def test_psu42_sampling_stream_is_pinned():
+    group = catalog.load("PSU42")
+    rng = random.Random(11)
+    images = [group.random_element(rng).images for _ in range(50)]
+    assert images[0] == PSU42_FIRST_SAMPLE
+    digest = hashlib.sha256(repr(images).encode()).hexdigest()
+    assert digest == PSU42_SAMPLES_SHA256
+    steinberg = character_table(group).unique_by_degree(81)
+    report = random_subgroup_sweep(group, steinberg, seed=11, samples=500,
+                                   monomial=True, steinberg_prime=3)
+    assert report.distinct_classes == 19
+    assert report.whole_group_hits == 451
+    labels = [record.subgroup_label for record in report.verdict.pruning_log]
+    assert labels == ["order 25920 (whole group)"] + [
+        f"order {order} profile#{i}"
+        for i, order in enumerate(PSU42_SWEEP_ORDERS, start=2)]
