@@ -260,11 +260,12 @@ class _Level:
     earlier base points, and the orbit of beta under them, holding one
     transversal element and its inverse per orbit point."""
 
-    __slots__ = ("beta", "gens", "transversal", "inverses")
+    __slots__ = ("beta", "gens", "gen_inverses", "transversal", "inverses")
 
     def __init__(self, beta, identity):
         self.beta = beta
         self.gens = []
+        self.gen_inverses = []
         self.transversal = {beta: identity}
         self.inverses = {beta: identity}
 
@@ -272,34 +273,38 @@ class _Level:
         level = _Level.__new__(_Level)
         level.beta = self.beta
         level.gens = list(self.gens)
+        level.gen_inverses = list(self.gen_inverses)
         level.transversal = dict(self.transversal)
         level.inverses = dict(self.inverses)
         return level
 
-    def add_generator(self, g):
-        """Adjoin g and extend the orbit from the points it already has.
+    def add_generator(self, g, g_inv):
+        """Adjoin g, with its inverse g_inv, and extend the orbit from the
+        points it already has.
 
         The old orbit is closed under the old generators, so only g leads
-        out of it; every point found after that takes all generators.
+        out of it; every point found after that takes all generators. A
+        new point's inverse is composed, (ta h)^-1 = h^-1 ta^-1, from the
+        inverses already held.
         """
         self.gens.append(g)
+        self.gen_inverses.append(g_inv)
         transversal = self.transversal
         inverses = self.inverses
         frontier = list(transversal)
-        moves = (g,)
+        moves = ((g, g_inv),)
         while frontier:
             found = []
             for a in frontier:
                 ta = transversal[a]
-                for h in moves:
+                for h, h_inv in moves:
                     b = h[a]
                     if b not in transversal:
-                        tb = _compose(ta, h)
-                        transversal[b] = tb
-                        inverses[b] = _invert(tb)
+                        transversal[b] = _compose(ta, h)
+                        inverses[b] = _compose(h_inv, inverses[a])
                         found.append(b)
             frontier = found
-            moves = self.gens
+            moves = list(zip(self.gens, self.gen_inverses))
 
 
 def _sift(levels, t, start=0):
@@ -359,8 +364,9 @@ def _build_bsgs(degree, gens, levels, order_cap=None):
         if level_index == len(levels):
             beta = next(i for i, j in enumerate(t) if i != j)
             levels.append(_Level(beta, identity))
+        t_inv = _invert(t)
         for level in levels[:level_index + 1]:
-            level.add_generator(t)
+            level.add_generator(t, t_inv)
         if order_cap is not None and prod(
                 len(level.transversal) for level in levels) > order_cap:
             raise _OrderCapExceeded()
@@ -396,10 +402,17 @@ class ConjugacyClassSet:
 
     Classes are sorted by (element order, class size, lexicographic
     representative); the identity class is therefore always first.
+
+    Two lookups for conjugacy tests are built on first use only, so a
+    group that needs just its classes (a character table) never pays
+    for them: ``conjugator(z)``, an element taking its class
+    representative to z, and ``centralizer(i)``, the centraliser of
+    representative i.
     """
 
     __slots__ = ("group", "representatives", "sizes", "element_to_class",
-                 "class_elements", "rep_orders")
+                 "class_elements", "rep_orders", "_conjugators",
+                 "_centralizers")
 
     def __init__(self, group, representatives, sizes, element_to_class,
                  class_elements):
@@ -409,6 +422,8 @@ class ConjugacyClassSet:
         self.element_to_class = element_to_class
         self.class_elements = class_elements
         self.rep_orders = tuple(r.order() for r in representatives)
+        self._conjugators = None
+        self._centralizers = {}
 
     def __len__(self):
         return len(self.representatives)
@@ -416,6 +431,44 @@ class ConjugacyClassSet:
     def class_of(self, perm):
         key = perm.images if isinstance(perm, Permutation) else tuple(perm)
         return self.element_to_class[key]
+
+    def conjugator(self, z):
+        """An image tuple t with rep^t == z, rep the representative of z's
+        class.
+
+        The first call fills the table for every element, by one
+        breadth-first pass per class over the group's generators from
+        the representative, using t_(y^g) = t_y g.
+        """
+        if self._conjugators is None:
+            gens = [g.images for g in self.group.generators]
+            identity = tuple(range(self.group.degree))
+            table = {}
+            for rep in self.representatives:
+                table[rep.images] = identity
+                frontier = [rep.images]
+                while frontier:
+                    found = []
+                    for y in frontier:
+                        ty = table[y]
+                        for g in gens:
+                            w = _conjugate(y, g)
+                            if w not in table:
+                                table[w] = _compose(ty, g)
+                                found.append(w)
+                    frontier = found
+            self._conjugators = table
+        return self._conjugators[z]
+
+    def centralizer(self, i):
+        """The elements of the centraliser of representative i, as image
+        tuples, from one scan of the group on first use."""
+        if i not in self._centralizers:
+            r = self.representatives[i].images
+            self._centralizers[i] = tuple(
+                e for e in self.group.elements()
+                if _compose(e, r) == _compose(r, e))
+        return self._centralizers[i]
 
 
 class PermGroup:
@@ -759,11 +812,47 @@ class PermGroup:
         return tuple(counts)
 
     def _transporters(self, a, b, bound=ELEMENT_ENUMERATION_BOUND):
-        """The elements e of self with e^-1 a e <= b, in sorted order."""
-        b_elems = set(b.elements())
+        """The elements e of self with e^-1 a e <= b, each once.
+
+        Such an e takes a generator x of a to some y in b with the class
+        of x, so e lies in t_x^-1 C t_y, where C centralises the class
+        representative r and r^(t_x) = x, r^(t_y) = y. Only these cosets
+        are enumerated, for the x that minimises |b cap class(x)| |C|,
+        and an e is kept when it conjugates every generator of a into
+        the hash set of b's elements. A trivial a yields all of self.
+        """
+        if not a.generators:
+            return iter(self.elements(bound))
+        classes = self.conjugacy_classes(bound)
+        element_to_class = classes.element_to_class
+        b_elems = b.elements()
+        profile = self.class_intersection_profile(b)
         a_gens = [g.images for g in a.generators]
-        return (e for e in self.elements(bound)
-                if all(_conjugate(g, e) in b_elems for g in a_gens))
+
+        def cost(x):
+            c = element_to_class[x]
+            return profile[c] * (self.order // classes.sizes[c])
+
+        x = min(a_gens, key=cost)
+        c = element_to_class[x]
+        targets = [y for y in b_elems if element_to_class[y] == c]
+        if not targets:
+            return iter(())
+        b_set = set(b_elems)
+        others = [g for g in a_gens if g != x]
+        t_x_inv = _invert(classes.conjugator(x))
+        # t_x^-1 s for s in C, shared by every coset
+        heads = [_compose(t_x_inv, s) for s in classes.centralizer(c)]
+
+        def scan():
+            for y in targets:
+                t_y = classes.conjugator(y)
+                for head in heads:
+                    e = _compose(head, t_y)
+                    if all(_conjugate(g, e) in b_set for g in others):
+                        yield e
+
+        return scan()
 
     def _subgroups_conjugate(self, a, b):
         return (a.order == b.order
@@ -782,8 +871,8 @@ class PermGroup:
         grown from U's chain with that cap and dropped as soon as its
         partial chain exceeds it. Deduplication is by class-intersection
         profile first; only on profile ties does a transporter search
-        scan G, testing each conjugate of the generators against a hash
-        set of the other subgroup's elements.
+        run, over the centraliser cosets that can take one generator into
+        the other subgroup (see ``_transporters``).
         """
         if "subgroup_classes" in self._cache:
             return self._cache["subgroup_classes"]

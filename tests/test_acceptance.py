@@ -267,3 +267,17 @@ def test_criterion_11_elimination_reports():
                 for d, p in candidate.missing_primes:
                     assert gcd(p, candidate.order_bound) == 1 or \
                         candidate.order_bound % p != 0
+
+
+def test_criterion_12_m11_decided_over_every_subgroup_class():
+    with Criterion(12, 15, "M11 decided over all 39 subgroup classes: 7 "
+                           "characters refuted, 3 monomial"):
+        group = catalog.load("M11")
+        assert len(group.subgroups_up_to_conjugacy()) == 39
+        verdicts = decide_qsi_group(group)
+        statuses = [v.status for v in verdicts]
+        assert statuses.count("refuted-exhaustive") == 7
+        assert statuses.count("monomial-with-witness") == 3
+        for verdict in verdicts:
+            if verdict.status == "refuted-exhaustive":
+                assert len(verdict.pruning_log) == 39

@@ -502,6 +502,63 @@ def test_s6_and_a7_subgroup_classes():
     assert len(catalog.load("A7").subgroups_up_to_conjugacy()) == 40
 
 
+def reference_transporters(group, a, b):
+    """The elements e of G with e^-1 a e <= b, by a scan over all of G."""
+    b_elems = set(b.elements())
+    return {e for e in group.elements()
+            if all(_conjugate(g.images, e) in b_elems for g in a.generators)}
+
+
+def test_transporters_match_a_scan_of_the_group():
+    from qsikit import catalog
+
+    rng = random.Random(20261019)
+    for group in (a5(), catalog.load("PSL27"), *random_small_groups()):
+        reps = group.subgroups_up_to_conjugacy()
+        profiles = [group.class_intersection_profile(sub) for sub in reps]
+        for i, a in enumerate(reps):
+            conjugate = a.conjugate_subgroup(group.random_element(rng))
+            same_profile = [b for j, b in enumerate(reps)
+                            if j != i and b.order == a.order
+                            and profiles[j] == profiles[i]]
+            for b in (a, conjugate, *same_profile):
+                found = list(group._transporters(a, b))
+                expected = reference_transporters(group, a, b)
+                assert len(found) == len(set(found))
+                assert set(found) == expected
+                assert group._subgroups_conjugate(a, b) == bool(expected)
+            assert group.normalizer(a).order == \
+                len(reference_transporters(group, a, a))
+
+
+def test_class_lookups_are_lazy_and_correct():
+    from qsikit import catalog
+    from qsikit.chartab import character_table
+
+    def fresh(group_id):
+        # the catalog's cached group may have built a lattice already
+        source = catalog.load(group_id)
+        return PermGroup(source.degree, source.generators)
+
+    for group in (fresh("A5"), fresh("PSL27")):
+        classes = group.conjugacy_classes()
+        assert classes._conjugators is None and not classes._centralizers
+        character_table(group)
+        assert classes._conjugators is None and not classes._centralizers
+
+    group = fresh("PSL27")
+    classes = group.conjugacy_classes()
+    for z in group.elements():
+        rep = classes.representatives[classes.element_to_class[z]]
+        assert _conjugate(rep.images, classes.conjugator(z)) == z
+    for i, (rep, size) in enumerate(zip(classes.representatives,
+                                        classes.sizes)):
+        centralizer = classes.centralizer(i)
+        assert len(centralizer) == group.order // size
+        assert all(_conjugate(rep.images, s) == rep.images
+                   for s in centralizer)
+
+
 def test_subgroup_enumeration_capacity():
     with pytest.raises(CapacityError):
         a5().subgroups_up_to_conjugacy(max_order=30)
