@@ -576,20 +576,28 @@ class PermGroup:
             raise CapacityError(
                 f"group order {self.order} exceeds the element enumeration "
                 f"bound {bound}", bound=bound)
-        transversals = [sorted(level.transversal.values())
-                        for level in reversed(self._levels)]
-        identity = tuple(range(self.degree))
-        elems = [identity]
-        for transversal in transversals:
-            if len(transversal) == 1:
-                continue
-            elems = [_compose(h, u) for h in elems for u in transversal]
+        elems = self._transversal_product()
         elems.sort()
         result = tuple(elems)
         if len(result) != self.order:
             raise IntegrityError("element enumeration does not match order")
         self._cache["elements"] = result
         return result
+
+    def _transversal_product(self):
+        """All elements, unsorted, as products of one transversal element
+        per level, the bottom level's first. Each transversal is taken
+        in sorted order, so the enumeration order does not depend on the
+        order in which the orbit points were found."""
+        elems = [tuple(range(self.degree))]
+        for level in reversed(self._levels):
+            # a level with a nontrivial orbit means degree > 1, so
+            # itemgetter returns tuples
+            if len(level.transversal) > 1:
+                transversal = sorted(level.transversal.values())
+                elems = [then(u) for then in (itemgetter(*h) for h in elems)
+                         for u in transversal]
+        return elems
 
     def random_element(self, rng):
         """Uniformly random element via the BSGS coset decomposition."""
@@ -752,9 +760,13 @@ class PermGroup:
                                        for s in self.generators])
 
     def normalizer(self, sub, bound=ELEMENT_ENUMERATION_BOUND):
-        """Normalizer of a subgroup: its transporters into itself, adjoined
-        only while the group grown so far lacks them."""
-        norm = PermGroup(self.degree, [])
+        """Normalizer of a subgroup: sub grown by its transporters into
+        itself, each adjoined only while the group grown so far lacks it,
+        so its generators are sub's and then those transporters. The
+        normalizer of the trivial subgroup is self."""
+        if not sub.generators:
+            return self
+        norm = sub
         for e in self._transporters(sub, sub, bound):
             if not norm.contains_tuple(e):
                 norm = norm._with(Permutation(e))
@@ -804,11 +816,13 @@ class PermGroup:
     # -- subgroup enumeration
 
     def class_intersection_profile(self, sub):
-        """Per-class element counts |C intersect sub| for a subgroup."""
+        """Per-class element counts |C intersect sub| for a subgroup, over
+        its unsorted elements, which are not cached."""
         classes = self.conjugacy_classes()
         counts = [0] * len(classes)
-        for e in sub.elements():
-            counts[classes.element_to_class[e]] += 1
+        for c in map(classes.element_to_class.__getitem__,
+                     sub._transversal_product()):
+            counts[c] += 1
         return tuple(counts)
 
     def _transporters(self, a, b, bound=ELEMENT_ENUMERATION_BOUND):
@@ -863,10 +877,19 @@ class PermGroup:
 
         Cyclic extension: seed with the cyclic subgroups generated by
         class representatives, then adjoin single elements e to known
-        representatives U until nothing new appears. Since
-        <U, e> = <U, u e v> for all u, v in U, one e per double coset
-        UeU is adjoined: the first in sorted order, the rest of UeU is
-        marked seen by closing {e} under U's generators on both sides.
+        representatives U until nothing new appears. For n in
+        N = N_G(U) and u, v in U, <U, u e^n v> = <U, e^n> = <U, e>^n, so
+        the orbit of e, the union of the double cosets U e^n U, gives one
+        candidate up to conjugacy. Only its first element in sorted order
+        is adjoined; the rest is marked seen by closing {e} under
+        multiplication by U's generators on either side and conjugation
+        by the generators N has beyond U's. Conjugation by U itself is
+        left and then right multiplication, one compose each instead of
+        two. Adjoining one e per double coset instead registers the same
+        representatives in the same order: each other double coset of
+        the orbit is visited after e and gives a conjugate of <U, e>:
+        capped if <U, e> was, and otherwise conjugate to a class
+        registered by then.
         A proper subgroup has order at most |G|/2, so each candidate is
         grown from U's chain with that cap and dropped as soon as its
         partial chain exceeds it. Deduplication is by class-intersection
@@ -912,20 +935,29 @@ class PermGroup:
         while queue:
             base = found[queue.pop(0)]
             base_gens = [g.images for g in base.generators]
+            lefts = [itemgetter(*u) for u in base_gens]
+            # with U's generators these generate N_G(U); x^n is
+            # (x then n) with n^-1 before it
+            conjugators = [
+                (itemgetter(*_invert(n.images)), n.images)
+                for n in self.normalizer(base).generators[len(base_gens):]]
             seen = set(base.elements())
             for e in elems:
                 if e in seen:
                     continue
-                # <U, e> = <U, ueu'>: mark the double coset UeU
+                # <U, u e^n u'> = <U, e>^n: mark e's orbit
                 seen.add(e)
                 frontier = [e]
                 while frontier:
                     x = frontier.pop()
-                    for g in base_gens:
-                        for y in (_compose(g, x), _compose(x, g)):
-                            if y not in seen:
-                                seen.add(y)
-                                frontier.append(y)
+                    then = itemgetter(*x)
+                    for y in itertools.chain(
+                            map(then, base_gens),
+                            [left(x) for left in lefts],
+                            [before(then(n)) for before, n in conjugators]):
+                        if y not in seen:
+                            seen.add(y)
+                            frontier.append(y)
                 try:
                     candidate = base._with(Permutation(e), _order_cap=cap)
                 except _OrderCapExceeded:

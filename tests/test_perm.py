@@ -8,6 +8,7 @@ from qsikit.errors import CapacityError, DomainError, MalformedInputError
 from qsikit.perm import (
     PermGroup,
     Permutation,
+    _OrderCapExceeded,
     _compose,
     _conjugate,
     _invert,
@@ -448,6 +449,48 @@ def reference_subgroups_up_to_conjugacy(group):
                        for g in a.generators)
                    for e in group.elements())
 
+    def candidates(base):
+        for e in group.elements():
+            if not base.contains_tuple(e):
+                yield base._with(Permutation(e))
+
+    return cyclic_extension(group, candidates, conjugate)
+
+
+def double_coset_subgroups_up_to_conjugacy(group):
+    """The lattice as the library built it before it used N_G(U): one
+    candidate per double coset UeU, capped at |G|/2, with UeU marked by
+    closing {e} under U's generators on both sides."""
+    cap = group.order // 2
+
+    def candidates(base):
+        gens = [g.images for g in base.generators]
+        seen = set(base.elements())
+        for e in group.elements():
+            if e in seen:
+                continue
+            seen.add(e)
+            frontier = [e]
+            while frontier:
+                x = frontier.pop()
+                for g in gens:
+                    for y in (_compose(g, x), _compose(x, g)):
+                        if y not in seen:
+                            seen.add(y)
+                            frontier.append(y)
+            try:
+                yield base._with(Permutation(e), _order_cap=cap)
+            except _OrderCapExceeded:
+                pass
+
+    return cyclic_extension(group, candidates, group._subgroups_conjugate)
+
+
+def cyclic_extension(group, candidates, conjugate):
+    """Representatives in the library's order: seed with the trivial and
+    the cyclic subgroups of class representatives, then register
+    candidates(U) for each representative U in turn, keeping a proper
+    subgroup unless it is conjugate to one with its class profile."""
     found = []
     by_profile = {}
 
@@ -466,12 +509,10 @@ def reference_subgroups_up_to_conjugacy(group):
         for rep in group.conjugacy_classes().representatives]
     queue = [i for i in map(register, seeds) if i is not None]
     while queue:
-        base = found[queue.pop(0)]
-        for e in group.elements():
-            if not base.contains_tuple(e):
-                idx = register(base._with(Permutation(e)))
-                if idx is not None:
-                    queue.append(idx)
+        for sub in candidates(found[queue.pop(0)]):
+            idx = register(sub)
+            if idx is not None:
+                queue.append(idx)
     result = found + [group]
     result.sort(key=lambda sub: (sub.order,
                                  group.class_intersection_profile(sub)
@@ -492,6 +533,58 @@ def test_lattice_pruning_matches_reference():
     for group in groups:
         assert lattice_signature(group.subgroups_up_to_conjugacy()) == \
             lattice_signature(reference_subgroups_up_to_conjugacy(group))
+
+
+def test_normalizer_orbits_match_double_coset_pruning():
+    # one candidate per N_G(U)-orbit registers what one per double coset
+    # did: the same representatives, generators and order
+    from qsikit import catalog
+
+    groups = [catalog.load(name) for name in ("A6", "PSL211", "A7")]
+    for group in groups + random_small_groups():
+        assert lattice_signature(group.subgroups_up_to_conjugacy()) == \
+            lattice_signature(double_coset_subgroups_up_to_conjugacy(group))
+
+
+def test_lattice_candidate_builds(monkeypatch):
+    from qsikit import catalog
+
+    bases = []
+    with_ = PermGroup._with
+
+    def counting_with(self, *perms, _order_cap=None):
+        if _order_cap is not None:
+            bases.append(self.order)
+        return with_(self, *perms, _order_cap=_order_cap)
+
+    monkeypatch.setattr(PermGroup, "_with", counting_with)
+    # ceilings: the builds made with one candidate per N_G(U)-orbit of
+    # double cosets (one per double coset made 93, 291 and 5004)
+    for name, ceiling in (("A5", 28), ("PSL27", 71), ("A7", 763)):
+        source = catalog.load(name)
+        group = PermGroup(source.degree, source.generators)
+        bases.clear()
+        group.subgroups_up_to_conjugacy()
+        assert len(bases) <= ceiling
+        # the trivial base's orbits are the conjugacy classes
+        assert bases.count(1) == len(group.conjugacy_classes()) - 1
+
+
+def test_normalizer_of_trivial_subgroup_is_the_group():
+    group = a5()
+    assert group.normalizer(PermGroup(group.degree, [])) is group
+
+
+def test_class_profile_leaves_elements_uncached():
+    group = a5()
+    classes = group.conjugacy_classes()
+    for sub in group.subgroups_up_to_conjugacy()[:-1]:
+        fresh = PermGroup(sub.degree, sub.generators)
+        profile = group.class_intersection_profile(fresh)
+        assert "elements" not in fresh._cache
+        assert profile == tuple(
+            sum(1 for e in fresh.elements() if classes.class_of(e) == c)
+            for c in range(len(classes)))
 
 
 def test_s6_and_a7_subgroup_classes():
