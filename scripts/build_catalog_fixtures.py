@@ -5,16 +5,17 @@ Most entries are standard generators written down directly. The linear
 groups are derived from small matrix actions, and the unitary group on
 27 points is derived from scratch: unitary transvections acting on the
 totally isotropic lines of a Hermitian form on F4^4, reduced to a
-2-element generating set. The order-160 witness subgroup is found by a
-seeded random search inside the stabilizer of the first point, and its
-distinguished linear character is pinned by index.
+2-element generating set. That pair, and the pair generating the
+order-160 witness subgroup inside the stabilizer of the first point,
+are pinned by their indices into sorted element lists, which do not
+depend on the stabilizer chain. The witness subgroup's distinguished
+linear character is found by search and recorded by index.
 
-Deterministic: fixed seeds, sorted constructions. Run from the repo
+Deterministic: sorted constructions, no random draws. Run from the repo
 root; rewrites src/qsikit/fixtures/*.
 """
 
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -24,6 +25,11 @@ from qsikit.chartab import character_table, induce, kernel
 from qsikit.perm import PermGroup, Permutation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src/qsikit/fixtures"
+
+# positions in the sorted elements() of the transvection-built PSU(4,2)
+PSU42_GENERATOR_INDICES = (1629, 6744)
+# positions in the sorted elements() of its first point stabilizer
+U160_GENERATOR_INDICES = (338, 759)
 
 
 def alternating(n):
@@ -147,14 +153,10 @@ def psu42():
 
     full = PermGroup.from_generators([transvection(w) for w in iso_points])
     assert full.order == 25920
-
-    rng = random.Random(2024)
-    while True:
-        a = full.random_element(rng)
-        b = full.random_element(rng)
-        candidate = PermGroup.from_generators([a, b])
-        if candidate.order == 25920:
-            return [a, b]
+    elements = full.elements()
+    gens = [Permutation(elements[i]) for i in PSU42_GENERATOR_INDICES]
+    assert PermGroup.from_generators(gens).order == 25920
+    return gens
 
 
 def psu42_u160(group):
@@ -162,21 +164,16 @@ def psu42_u160(group):
     linear character induces to twice the degree-81 irreducible."""
     stabilizer = group.point_stabilizer(0)
     assert stabilizer.order == 960
+    elements = stabilizer.elements()
+    candidate = PermGroup.from_generators(
+        [Permutation(elements[i]) for i in U160_GENERATOR_INDICES])
+    assert candidate.order == 160
     steinberg = character_table(group).unique_by_degree(81)
-    rng = random.Random(7)
-    while True:
-        x = stabilizer.random_element(rng)
-        y = stabilizer.random_element(rng)
-        candidate = PermGroup.from_generators([x, y])
-        if candidate.order != 160:
-            continue
-        table = character_table(candidate)
-        for index, phi in enumerate(table.irreducibles):
-            if phi.degree != 1:
-                continue
-            if induce(phi, group) == 2 * steinberg:
-                assert kernel(phi).order % 3 != 0
-                return candidate, index
+    for index, phi in enumerate(character_table(candidate).irreducibles):
+        if phi.degree == 1 and induce(phi, group) == 2 * steinberg:
+            assert kernel(phi).order % 3 != 0
+            return candidate, index
+    raise AssertionError("no linear character induces to 2 St")
 
 
 def write_fixture(name, description, gens, degree):

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
-
-import mpmath
+from math import gcd, lcm
 
 from .errors import DomainError, IntegrityError
 from .primes import prime_factors
-
-_SIGN_PRECISION_DIGITS = 60
 
 
 @cache
@@ -265,37 +261,38 @@ class Cyclotomic:
         return self.conductor == 1 and self.coeffs[0].denominator == 1
 
     def real_sign(self):
-        """Exact sign of a real cyclotomic value.
+        """Exact sign of a real cyclotomic value, in integer arithmetic.
 
-        Rational values are handled exactly. Otherwise the value is
-        evaluated at high precision; the result must clear an error
-        bound derived from the coefficient sizes, and an ambiguous
-        evaluation raises rather than guessing.
+        Rational values are compared directly. Otherwise the value is
+        irrational, hence nonzero, and D times it is the algebraic
+        integer y = sum a_k zeta_n^k, where D is the lcm of the
+        coefficient denominators. Each of the phi(n) Galois conjugates
+        of y has absolute value at most B = sum |a_k|, and their product
+        is a nonzero integer, so |y| >= B^-(phi(n)-1). The sign is that
+        of sum a_k T_k, where T_k is 2^P cos(2 pi k / n) to within one
+        unit (see ``_cosines``). The sum is then less than B units from
+        2^P y, and B <= 2^P |y| / 2 once 2^P >= 2 B^phi(n), which any
+        P > phi(n) * bitlength(B) ensures. P is rounded up to a multiple
+        of 64 so that the cosine tables are shared.
         """
         if not self.is_real():
             raise DomainError("sign of a non-real value")
         if self.conductor == 1:
             v = self.coeffs[0]
             return (v > 0) - (v < 0)
-        with mpmath.workdps(_SIGN_PRECISION_DIGITS):
-            z = mpmath.exp(2j * mpmath.pi / self.conductor)
-            total = mpmath.mpc(0)
-            magnitude = mpmath.mpf(0)
-            for k, c in enumerate(self.coeffs):
-                if c:
-                    coeff = mpmath.mpf(c.numerator) / c.denominator
-                    total += coeff * z**k
-                    magnitude += abs(coeff)
-            value = total.real
-            error = magnitude * mpmath.mpf(10) ** (8 - _SIGN_PRECISION_DIGITS)
-            if abs(value) <= error:
-                raise IntegrityError(
-                    "numeric sign evaluation too close to zero; "
-                    "raise the working precision")
-            return 1 if value > 0 else -1
+        n = self.conductor
+        scale = lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in self.coeffs]
+        bound = sum(map(abs, ints))
+        # phi(n) * bitlength(B) + 1 bits, rounded up to a multiple of 64
+        precision = (_phi(n) * bound.bit_length() // 64 + 1) * 64
+        total = sum(a * t for a, t in zip(ints, _cosines(n, precision)))
+        return 1 if total > 0 else -1
 
     def __le__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         diff = other - self
         if diff.is_zero():
             return True
@@ -303,6 +300,8 @@ class Cyclotomic:
 
     def __lt__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         diff = other - self
         if diff.is_zero():
             return False
@@ -354,6 +353,63 @@ class Cyclotomic:
     def from_json(cls, data):
         coeffs = [Fraction(num, den) for num, den in data["coefficients"]]
         return cls(data["conductor"], coeffs)
+
+
+@cache
+def _cosines(n, precision):
+    """The integers T_k, k < phi(n), each within one unit of
+    2^precision cos(2 pi k / n).
+
+    pi comes from Machin's formula 16 arctan(1/5) - 4 arctan(1/239) and
+    each cosine from its Taylor series at an angle in [0, pi/2], by the
+    symmetries cos(t) = cos(2 pi - t) = -cos(pi - t). Both run in fixed
+    point with G = bitlength(precision) + 8 guard bits, W = precision +
+    G bits in all. Every term is truncated once or twice and stays
+    within two units of 2^-W, and the series have fewer than W/4 terms
+    each, so pi is off by less than 9 W units, an angle by less than
+    5 W and a cosine by less than 6 W. Since W <= 2 precision, that is
+    under a tenth of a unit of 2^-precision once shifted down by G
+    bits, and rounding to nearest adds at most a half.
+    """
+    guard = precision.bit_length() + 8
+    one = 1 << (precision + guard)
+    pi = 4 * (4 * _arctan_inverse(5, one) - _arctan_inverse(239, one))
+    half = 1 << (guard - 1)
+    table = []
+    for k in range(_phi(n)):
+        m = min(k, n - k)  # the angle 2 pi m / n lies in [0, pi]
+        if 4 * m <= n:
+            value = _cos_fixed(pi * 2 * m // n, one)
+        else:
+            value = -_cos_fixed(pi * (n - 2 * m) // n, one)
+        table.append((value + half) >> guard)
+    return tuple(table)
+
+
+def _arctan_inverse(m, one):
+    """one * arctan(1/m) by its alternating series, terms truncated."""
+    total = 0
+    power = one // m
+    square = m * m
+    k = 1
+    while power:
+        term = power // k
+        total += term if k % 4 == 1 else -term
+        power //= square
+        k += 2
+    return total
+
+
+def _cos_fixed(x, one):
+    """one * cos(x / one) by its Taylor series, for 0 <= x / one <= pi/2."""
+    x2 = x * x // one
+    term = total = one
+    j = 0
+    while term:
+        j += 2
+        term = term * x2 // (one * (j - 1) * j)
+        total += -term if j % 4 == 2 else term
+    return total
 
 
 def _descend_to_minimal(n, coeffs):

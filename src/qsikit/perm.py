@@ -825,7 +825,8 @@ class PermGroup:
             counts[c] += 1
         return tuple(counts)
 
-    def _transporters(self, a, b, bound=ELEMENT_ENUMERATION_BOUND):
+    def _transporters(self, a, b, bound=ELEMENT_ENUMERATION_BOUND,
+                      b_profile=None):
         """The elements e of self with e^-1 a e <= b, each once.
 
         Such an e takes a generator x of a to some y in b with the class
@@ -834,18 +835,20 @@ class PermGroup:
         are enumerated, for the x that minimises |b cap class(x)| |C|,
         and an e is kept when it conjugates every generator of a into
         the hash set of b's elements. A trivial a yields all of self.
+        b_profile, when given, is b's class-intersection profile.
         """
         if not a.generators:
             return iter(self.elements(bound))
         classes = self.conjugacy_classes(bound)
         element_to_class = classes.element_to_class
         b_elems = b.elements()
-        profile = self.class_intersection_profile(b)
+        if b_profile is None:
+            b_profile = self.class_intersection_profile(b)
         a_gens = [g.images for g in a.generators]
 
         def cost(x):
             c = element_to_class[x]
-            return profile[c] * (self.order // classes.sizes[c])
+            return b_profile[c] * (self.order // classes.sizes[c])
 
         x = min(a_gens, key=cost)
         c = element_to_class[x]
@@ -868,9 +871,10 @@ class PermGroup:
 
         return scan()
 
-    def _subgroups_conjugate(self, a, b):
+    def _subgroups_conjugate(self, a, b, b_profile=None):
         return (a.order == b.order
-                and next(self._transporters(a, b), None) is not None)
+                and next(self._transporters(a, b, b_profile=b_profile), None)
+                is not None)
 
     def subgroups_up_to_conjugacy(self, max_order=SUBGROUP_ENUMERATION_BOUND):
         """One representative per conjugacy class of subgroups.
@@ -907,6 +911,7 @@ class PermGroup:
         elems = self.elements()
 
         found = []
+        profiles = []
         by_profile = {}
 
         def register(sub):
@@ -914,10 +919,11 @@ class PermGroup:
                 return None
             profile = self.class_intersection_profile(sub)
             for idx in by_profile.get(profile, ()):
-                if self._subgroups_conjugate(found[idx], sub):
+                if self._subgroups_conjugate(found[idx], sub, profile):
                     return None
             index = len(found)
             found.append(sub)
+            profiles.append(profile)
             by_profile.setdefault(profile, []).append(index)
             return index
 
@@ -966,11 +972,9 @@ class PermGroup:
                 if idx is not None:
                     queue.append(idx)
 
-        result = found + [self]
-        result.sort(key=lambda sub: (sub.order,
-                                     self.class_intersection_profile(sub)
-                                     if sub.order < self.order
-                                     else (0,)))
+        ranked = sorted(zip(found + [self], profiles + [(0,)]),
+                        key=lambda pair: (pair[0].order, pair[1]))
+        result = [sub for sub, _ in ranked]
         self._cache["subgroup_classes"] = result
         return result
 

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from qsikit import catalog
@@ -120,3 +124,23 @@ def test_corrupted_fixture_detected(tmp_path):
     (dst / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(IntegrityError):
         catalog.load("A5", fixtures_path=dst)
+
+
+def test_fixture_script_rebuilds_the_committed_fixtures(tmp_path, monkeypatch):
+    script = (Path(__file__).resolve().parent.parent / "scripts"
+              / "build_catalog_fixtures.py")
+    spec = importlib.util.spec_from_file_location("build_catalog_fixtures",
+                                                  script)
+    module = importlib.util.module_from_spec(spec)
+    # the script puts src/ on sys.path when it loads
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "FIXTURES", tmp_path)
+    module.main()
+    committed = catalog._fixture_root()
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in committed.iterdir()
+                             if path.is_file())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == \
+            (committed / name).read_bytes(), name

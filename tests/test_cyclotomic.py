@@ -1,10 +1,39 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsikit.cyclotomic import Cyclotomic, ONE, ZERO, cyclotomic_polynomial
 from qsikit.errors import DomainError
+
+# (sqrt 5 - 1)/2 = zeta_5 + zeta_5^-1
+GOLDEN = Cyclotomic.zeta(5) + Cyclotomic.zeta(5, 4)
+
+
+def golden_sign(p, q):
+    """Exact sign of (sqrt 5 - 1)/2 - p/q for q > 0 and 2p + q > 0:
+    that of sqrt 5 q - (2p + q), hence of 5 q^2 - (2p + q)^2."""
+    d = 5 * q * q - (2 * p + q) ** 2
+    return (d > 0) - (d < 0)
+
+
+def fibonacci_convergents(count):
+    """F(k-1)/F(k), k = 2, 3, ...: the convergents of (sqrt 5 - 1)/2."""
+    p, q = 1, 1
+    for _ in range(count):
+        p, q = q, p + q
+        yield p, q
+
+
+def mpmath_value(value, digits=200):
+    """sum c_k cos(2 pi k / n) at the given working precision."""
+    with mpmath.workdps(digits):
+        return mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator
+            * mpmath.cospi(mpmath.mpf(2 * k) / value.conductor)
+            for k, c in enumerate(value.coeffs))
 
 
 def test_cyclotomic_polynomials():
@@ -91,6 +120,62 @@ def test_real_comparisons():
     assert g <= g
     half = Cyclotomic.from_rational(Fraction(1, 2))
     assert half <= g
+
+
+def test_comparison_with_an_unsupported_type_raises_type_error():
+    one = Cyclotomic.from_rational(1)
+    with pytest.raises(TypeError, match="not supported between instances"):
+        one <= 0.5
+    with pytest.raises(TypeError, match="not supported between instances"):
+        one < 0.5
+
+
+real_terms = st.dictionaries(
+    st.integers(min_value=0, max_value=59),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=3, max_value=60), real_terms,
+       st.integers(min_value=1, max_value=12))
+def test_real_sign_matches_mpmath(n, terms, digits):
+    value = Cyclotomic.from_exponent_map(n, terms)
+    value = value + value.conjugate()
+    numeric = mpmath_value(value)
+    # a rational within 10^-digits of the value leaves a nearly
+    # cancelling difference, still far from the 200-digit oracle's error
+    approx = Fraction(str(mpmath.nstr(numeric, digits + 5, min_fixed=-1,
+                                      max_fixed=1)))
+    approx = approx.limit_denominator(10**digits)
+    for x in (value, value - approx):
+        expected = mpmath_value(x)
+        if x.is_zero():
+            assert x.real_sign() == 0
+            continue
+        assert abs(expected) > mpmath.mpf(10) ** -150
+        assert x.real_sign() == (1 if expected > 0 else -1)
+
+
+def test_golden_ratio_convergent_differences_are_exact():
+    for p, q in fibonacci_convergents(90):
+        for r in (p - 1, p, p + 1):
+            diff = GOLDEN - Fraction(r, q)
+            assert diff.real_sign() == golden_sign(r, q), (r, q)
+            assert (GOLDEN < Fraction(r, q)) == (golden_sign(r, q) < 0)
+    # 832040/1346269 = F(30)/F(31) is within 3e-13 of (sqrt 5 - 1)/2
+    assert (GOLDEN - Fraction(832040, 1346269)).real_sign() == 1
+    sqrt5 = 2 * GOLDEN + 1
+    assert (sqrt5 - Fraction(2207, 987)).real_sign() == golden_sign(610, 987)
+
+
+def test_sign_of_a_value_near_zero_does_not_raise():
+    # F(150)/F(151) is within 10^-62 of (sqrt 5 - 1)/2, below what a
+    # 60-digit evaluation can tell from zero
+    *_, (p, q) = fibonacci_convergents(149)
+    diff = GOLDEN - Fraction(p, q)
+    assert abs(mpmath_value(diff, 400)) < mpmath.mpf(10) ** -62
+    assert diff.real_sign() == golden_sign(p, q) == 1
 
 
 def test_sign_of_non_real_raises():

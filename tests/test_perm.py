@@ -570,6 +570,41 @@ def test_lattice_candidate_builds(monkeypatch):
         assert bases.count(1) == len(group.conjugacy_classes()) - 1
 
 
+def test_lattice_reuses_registered_profiles(monkeypatch):
+    from qsikit import catalog
+
+    profiled = []
+    built = []
+    profile_ = PermGroup.class_intersection_profile
+    with_ = PermGroup._with
+
+    def counting_profile(self, sub):
+        profiled.append(sub.order)
+        return profile_(self, sub)
+
+    def counting_with(self, *perms, _order_cap=None):
+        result = with_(self, *perms, _order_cap=_order_cap)
+        if _order_cap is not None:
+            built.append(result.order)
+        return result
+
+    monkeypatch.setattr(PermGroup, "class_intersection_profile",
+                        counting_profile)
+    monkeypatch.setattr(PermGroup, "_with", counting_with)
+    for name in ("A5", "PSL27", "A7"):
+        source = catalog.load(name)
+        group = PermGroup(source.degree, source.generators)
+        profiled.clear()
+        built.clear()
+        lattice = group.subgroups_up_to_conjugacy()
+        # register sees the trivial group, the cyclic group of each class
+        # representative and every candidate built within the cap; each
+        # registered class is a base once, whose normalizer may profile it
+        registers = 1 + len(group.conjugacy_classes()) + len(built)
+        bases = len(lattice) - 1
+        assert len(profiled) <= registers + bases, name
+
+
 def test_normalizer_of_trivial_subgroup_is_the_group():
     group = a5()
     assert group.normalizer(PermGroup(group.degree, [])) is group

@@ -127,10 +127,22 @@ def test_primitive_root_is_sympys(n):
     assert primitive_root(p) == sympy_primitive_root(p)
 
 
+def loaded_modules(statement, env):
+    """Top-level names in sys.modules of a fresh interpreter after it
+    runs the statement."""
+    code = (f"import sys; {statement}; "
+            "print(*(name.partition('.')[0] for name in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.split())
+
+
 def test_import_leaves_sympy_out():
     src = Path(qsikit.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, qsikit.cli; print('sympy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    loaded = loaded_modules("import qsikit.cli", env)
+    assert "sympy" not in loaded
+    # compared with a bare start, which may already load site hooks:
+    # nothing beyond the standard library and qsikit itself
+    added = loaded - loaded_modules("pass", env)
+    assert added - set(sys.stdlib_module_names) == {"qsikit"}
