@@ -22,7 +22,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qsikit.chartab import character_table, induce, kernel
-from qsikit.perm import PermGroup, Permutation
+from qsikit.perm import PermGroup, Permutation, format_generator_file
+from qsikit.smallgroups import alternating, symmetric
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src/qsikit/fixtures"
 
@@ -32,20 +33,10 @@ PSU42_GENERATOR_INDICES = (1629, 6744)
 U160_GENERATOR_INDICES = (338, 759)
 
 
-def alternating(n):
-    cycle = list(range(n)) if n % 2 == 1 else list(range(1, n))
-    return [Permutation.from_cycles(n, [[0, 1, 2]]),
-            Permutation.from_cycles(n, [cycle])]
-
-
-def symmetric(n):
-    return [Permutation.from_cycles(n, [list(range(n))]),
-            Permutation.from_cycles(n, [[0, 1]])]
-
-
 def m11():
-    return [Permutation.from_cycles(11, [list(range(11))]),
-            Permutation.from_cycles(11, [[2, 6, 10, 7], [3, 9, 4, 5]])]
+    return PermGroup(11, [
+        Permutation.from_cycles(11, [list(range(11))]),
+        Permutation.from_cycles(11, [[2, 6, 10, 7], [3, 9, 4, 5]])])
 
 
 def sl23():
@@ -58,7 +49,8 @@ def sl23():
         return Permutation([index[((a * x + b * y) % 3, (c * x + d * y) % 3)]
                             for x, y in vectors])
 
-    return [perm_of(((1, 1), (0, 1))), perm_of(((0, 2), (1, 0)))]
+    return PermGroup(8, [perm_of(((1, 1), (0, 1))),
+                         perm_of(((0, 2), (1, 0)))])
 
 
 def psl32():
@@ -76,7 +68,7 @@ def psl32():
 
     transvection = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
-    return [perm_of(transvection), perm_of(cycle)]
+    return PermGroup(7, [perm_of(transvection), perm_of(cycle)])
 
 
 def psl211():
@@ -96,8 +88,8 @@ def psl211():
             return infinity
         return (-pow(x, -1, 11)) % 11
 
-    return [Permutation([translation(x) for x in range(12)]),
-            Permutation([inversion(x) for x in range(12)])]
+    return PermGroup(12, [Permutation([translation(x) for x in range(12)]),
+                          Permutation([inversion(x) for x in range(12)])])
 
 
 # F4 arithmetic tables; elements 0, 1, w, w^2 encoded as 0..3 with w^2 = w+1
@@ -154,9 +146,8 @@ def psu42():
     full = PermGroup.from_generators([transvection(w) for w in iso_points])
     assert full.order == 25920
     elements = full.elements()
-    gens = [Permutation(elements[i]) for i in PSU42_GENERATOR_INDICES]
-    assert PermGroup.from_generators(gens).order == 25920
-    return gens
+    return PermGroup(27, [Permutation(elements[i])
+                          for i in PSU42_GENERATOR_INDICES])
 
 
 def psu42_u160(group):
@@ -176,12 +167,8 @@ def psu42_u160(group):
     raise AssertionError("no linear character induces to 2 St")
 
 
-def write_fixture(name, description, gens, degree):
-    group = PermGroup(degree, gens)
-    lines = [f"# {description}", f"degree {degree}"]
-    lines += [g.cycle_string() for g in gens]
-    (FIXTURES / name).write_text("\n".join(lines) + "\n")
-    return group
+def write_fixture(name, description, group):
+    (FIXTURES / name).write_text(format_generator_file(group, description))
 
 
 def main():
@@ -189,48 +176,51 @@ def main():
     manifest = {"groups": {}, "subgroups": {}}
 
     entries = [
-        ("A5", "a5.gens", "alternating group on 5 points", alternating(5), 5, 60),
-        ("A6", "a6.gens", "alternating group on 6 points", alternating(6), 6, 360),
-        ("A7", "a7.gens", "alternating group on 7 points", alternating(7), 7, 2520),
-        ("A8", "a8.gens", "alternating group on 8 points", alternating(8), 8, 20160),
-        ("A9", "a9.gens", "alternating group on 9 points", alternating(9), 9, 181440),
-        ("S4", "s4.gens", "symmetric group on 4 points", symmetric(4), 4, 24),
+        ("A5", "a5.gens", "alternating group on 5 points", alternating(5),
+         60),
+        ("A6", "a6.gens", "alternating group on 6 points", alternating(6),
+         360),
+        ("A7", "a7.gens", "alternating group on 7 points", alternating(7),
+         2520),
+        ("A8", "a8.gens", "alternating group on 8 points", alternating(8),
+         20160),
+        ("A9", "a9.gens", "alternating group on 9 points", alternating(9),
+         181440),
+        ("S4", "s4.gens", "symmetric group on 4 points", symmetric(4), 24),
         ("SL23", "sl23.gens",
-         "SL(2,3) acting on the 8 nonzero vectors of F3^2", sl23(), 8, 24),
+         "SL(2,3) acting on the 8 nonzero vectors of F3^2", sl23(), 24),
         ("PSL27", "psl27.gens",
          "PSL(3,2) = PSL(2,7) on the 7 nonzero vectors of F2^3",
-         psl32(), 7, 168),
+         psl32(), 168),
         ("PSL211", "psl211.gens",
-         "PSL(2,11) on the projective line over F11", psl211(), 12, 660),
-        ("M11", "m11.gens", "Mathieu group on 11 points", m11(), 11, 7920),
+         "PSL(2,11) on the projective line over F11", psl211(), 660),
+        ("M11", "m11.gens", "Mathieu group on 11 points", m11(), 7920),
     ]
 
-    psu_gens = psu42()
+    psu = psu42()
     entries.append(
         ("PSU42", "psu42.gens",
          "PSU(4,2) = PSp(4,3) on the 27 totally isotropic lines of a "
-         "Hermitian form on F4^4", psu_gens, 27, 25920))
+         "Hermitian form on F4^4", psu, 25920))
 
-    for entry_id, filename, description, gens, degree, order in entries:
-        group = write_fixture(filename, description, gens, degree)
+    for entry_id, filename, description, group, order in entries:
+        write_fixture(filename, description, group)
         assert group.order == order, (entry_id, group.order, order)
         manifest["groups"][entry_id] = {
             "file": filename,
-            "degree": degree,
+            "degree": group.degree,
             "order": order,
             "description": description,
         }
         print(f"{entry_id:8s} order {order}")
 
-    psu = PermGroup(27, psu_gens)
     witness_sub, char_index = psu42_u160(psu)
-    group = write_fixture(
+    write_fixture(
         "psu42_u160.gens",
         "order-160 subgroup of the first point stabilizer of PSU42; its "
         "irreducible at witness_linear_char_index (linear) induces to "
         "twice the degree-81 irreducible of the parent",
-        witness_sub.generators, 27)
-    assert group.order == 160
+        witness_sub)
     manifest["subgroups"]["PSU42_U160"] = {
         "parent": "PSU42",
         "file": "psu42_u160.gens",

@@ -123,10 +123,6 @@ class CharacterTable:
     def index_of(self, chi):
         return self.irreducibles.index(chi)
 
-    def trivial_character(self):
-        return next(chi for chi in self.irreducibles
-                    if all(v == ONE for v in chi.values))
-
     def to_json(self):
         classes = self.classes
         return {

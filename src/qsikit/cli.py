@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import catalog, paper
+from . import catalog, lietype, paper
 from .chartab import character_table
 from .errors import (
     CapacityError,
@@ -24,7 +24,6 @@ from .errors import (
     QsikitError,
     UnsupportedCaseError,
 )
-from .lietype import FAMILIES, eliminate, group_order, zsigmondy
 from .perm import ELEMENT_ENUMERATION_BOUND, SUBGROUP_ENUMERATION_BOUND
 from .qsi import (
     SearchBounds,
@@ -132,24 +131,11 @@ def _cmd_qsi(args):
     return EXIT_OK
 
 
-def _parse_family_params(family, params):
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}; known: "
-                          f"{', '.join(sorted(FAMILIES))}")
-    if FAMILIES[family].parametric:
-        if len(params) != 2:
-            raise DomainError(f"{family} takes parameters n and q")
-        return params[0], params[1]
-    if len(params) != 1:
-        raise DomainError(f"{family} takes a single parameter q")
-    return 0, params[0]
-
-
 def _cmd_order(args):
-    n, q = _parse_family_params(args.family, args.params)
-    orders = group_order(args.family, n, q)
-    label = f"{args.family}({n},{q})" if n else f"{args.family}({q})"
-    lines = [f"{label}: simple order {orders.simple}",
+    n, q = lietype.parse_params(args.family, args.params)
+    orders = lietype.group_order(args.family, n, q)
+    lines = [f"{lietype.point_label(args.family, n, q)}: simple order "
+             f"{orders.simple}",
              f"  simply connected {orders.simply_connected}, "
              f"center {orders.center}"]
     if orders.non_simple:
@@ -159,7 +145,7 @@ def _cmd_order(args):
 
 
 def _cmd_zsigmondy(args):
-    prime = zsigmondy(args.d, args.n)
+    prime = lietype.zsigmondy(args.d, args.n)
     if prime is None:
         lines = [f"zsigmondy({args.d}, {args.n}): none (exception)"]
     else:
@@ -171,8 +157,8 @@ def _cmd_zsigmondy(args):
 
 
 def _cmd_eliminate(args):
-    n, q = _parse_family_params(args.family, args.params)
-    report = eliminate(args.family, n, q)
+    n, q = lietype.parse_params(args.family, args.params)
+    report = lietype.eliminate(args.family, n, q)
     _emit("eliminate", report.to_json(), report.text_table().splitlines(),
           args.json)
     return EXIT_OK

@@ -307,6 +307,18 @@ class Cyclotomic:
             return False
         return diff.real_sign() > 0
 
+    def __ge__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other <= self
+
+    def __gt__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other < self
+
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

@@ -141,28 +141,30 @@ def _omega_minus_sc(m, q):
 class LieFamily:
     tag: str
     parametric: bool
+    # eliminate scans q^d - 1 for d <= d_max, times n when parametric
+    d_max: int
     min_n: int = 0
     # exceptional-family constraint on q as (characteristic, odd exponent)
     twisted_char: int | None = None
 
 
 FAMILIES = {
-    "PSL": LieFamily("PSL", True, 2),
-    "PSp": LieFamily("PSp", True, 2),
-    "PSU": LieFamily("PSU", True, 3),
-    "Omega": LieFamily("Omega", True, 2),
-    "OmegaMinus": LieFamily("OmegaMinus", True, 2),
-    "OmegaPlus": LieFamily("OmegaPlus", True, 2),
-    "2B2": LieFamily("2B2", False, twisted_char=2),
-    "2G2": LieFamily("2G2", False, twisted_char=3),
-    "2F4": LieFamily("2F4", False, twisted_char=2),
-    "G2": LieFamily("G2", False),
-    "3D4": LieFamily("3D4", False),
-    "F4": LieFamily("F4", False),
-    "E6": LieFamily("E6", False),
-    "2E6": LieFamily("2E6", False),
-    "E7": LieFamily("E7", False),
-    "E8": LieFamily("E8", False),
+    "PSL": LieFamily("PSL", True, d_max=1, min_n=2),
+    "PSp": LieFamily("PSp", True, d_max=2, min_n=2),
+    "PSU": LieFamily("PSU", True, d_max=2, min_n=3),
+    "Omega": LieFamily("Omega", True, d_max=2, min_n=2),
+    "OmegaMinus": LieFamily("OmegaMinus", True, d_max=2, min_n=2),
+    "OmegaPlus": LieFamily("OmegaPlus", True, d_max=2, min_n=2),
+    "2B2": LieFamily("2B2", False, d_max=4, twisted_char=2),
+    "2G2": LieFamily("2G2", False, d_max=6, twisted_char=3),
+    "2F4": LieFamily("2F4", False, d_max=12, twisted_char=2),
+    "G2": LieFamily("G2", False, d_max=6),
+    "3D4": LieFamily("3D4", False, d_max=12),
+    "F4": LieFamily("F4", False, d_max=12),
+    "E6": LieFamily("E6", False, d_max=12),
+    "2E6": LieFamily("2E6", False, d_max=18),
+    "E7": LieFamily("E7", False, d_max=18),
+    "E8": LieFamily("E8", False, d_max=30),
 }
 
 # evaluation points that are not simple (solvable, or with a proper
@@ -176,31 +178,19 @@ NON_SIMPLE_POINTS = {
     ("2B2", 0, 2), ("2G2", 0, 3), ("2F4", 0, 2),
 }
 
-_P_POWER_EXPONENT = {
-    "PSL": lambda n: n * (n - 1) // 2,
-    "PSp": lambda n: n * n,
-    "PSU": lambda n: n * (n - 1) // 2,
-    "Omega": lambda n: n * n,
-    "OmegaMinus": lambda n: n * (n - 1),
-    "OmegaPlus": lambda n: n * (n - 1),
-    "2B2": lambda n: 2,
-    "2G2": lambda n: 3,
-    "2F4": lambda n: 12,
-    "G2": lambda n: 6,
-    "3D4": lambda n: 12,
-    "F4": lambda n: 24,
-    "E6": lambda n: 36,
-    "2E6": lambda n: 36,
-    "E7": lambda n: 63,
-    "E8": lambda n: 120,
-}
 
-
-def _validate(tag, n, q):
+def _validate(tag, n, q, arity=None):
+    """The family, n (0 for the exceptional families) and the
+    characteristic p of a valid evaluation point; arity is the number
+    of parameters given on the command line, if they came from there."""
     if tag not in FAMILIES:
         raise DomainError(f"unknown family {tag!r}; known: "
                           f"{', '.join(sorted(FAMILIES))}")
     family = FAMILIES[tag]
+    if arity is not None and arity != (2 if family.parametric else 1):
+        raise DomainError(f"{tag} takes parameters n and q"
+                          if family.parametric
+                          else f"{tag} takes a single parameter q")
     p, r = _prime_power(q)
     if family.parametric:
         if n < family.min_n:
@@ -211,22 +201,29 @@ def _validate(tag, n, q):
         if p != family.twisted_char or r % 2 == 0:
             raise DomainError(
                 f"{tag} requires q an odd power of {family.twisted_char}")
-    return family, p, r
+    return family, n if family.parametric else 0, p
+
+
+def parse_params(tag, params):
+    """(n, q) from a family's command-line parameters: n and q for the
+    classical families, q alone for the exceptional ones."""
+    n = params[0] if len(params) > 1 else 0
+    _, n, _ = _validate(tag, n, params[-1], arity=len(params))
+    return n, params[-1]
+
+
+def point_label(tag, n, q):
+    """PSL(4,2) for a classical family, 3D4(2) for an exceptional one."""
+    return f"{tag}({n},{q})" if n else f"{tag}({q})"
 
 
 def _sc_and_center(tag, n, q):
     if tag == "PSL":
-        sc = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            sc *= q**i - 1
-        return sc, gcd(n, q - 1)
+        return _gl_order(n, q) // (q - 1), gcd(n, q - 1)
     if tag in ("PSp", "Omega"):
         return _sp_order(n, q), gcd(2, q - 1)
     if tag == "PSU":
-        sc = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            sc *= q**i - (-1) ** i
-        return sc, gcd(n, q + 1)
+        return _gu_order(n, q) // (q + 1), gcd(n, q + 1)
     if tag == "OmegaMinus":
         return _omega_minus_sc(n, q), gcd(4, q**n + 1)
     if tag == "OmegaPlus":
@@ -288,11 +285,7 @@ class GroupOrder:
         }
 
 
-def group_order(tag, n, q):
-    """Simply-connected order, center order, and the quotient."""
-    family, _, _ = _validate(tag, n, q)
-    if not family.parametric:
-        n = 0
+def _group_order(tag, n, q):
     sc, center = _sc_and_center(tag, n, q)
     if sc % center != 0:
         raise DomainError("center does not divide the group order")
@@ -301,12 +294,22 @@ def group_order(tag, n, q):
     return GroupOrder(tag, n, q, sc, center, sc // center, non_simple)
 
 
+def group_order(tag, n, q):
+    """Simply-connected order, center order, and the quotient."""
+    _, n, _ = _validate(tag, n, q)
+    return _group_order(tag, n, q)
+
+
+def _p_part(value, p):
+    # p^bitlength(value) > value, so it holds the whole p-part
+    return gcd(value, p ** value.bit_length())
+
+
 def steinberg_degree(tag, n, q):
     """Degree of the Steinberg character: the full p-part of the simple
     group order, q raised to the number of positive roots."""
-    family, _, _ = _validate(tag, n, q)
-    exponent = _P_POWER_EXPONENT[tag](n if family.parametric else 0)
-    return q**exponent
+    _, n, p = _validate(tag, n, q)
+    return _p_part(_group_order(tag, n, q).simple, p)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +324,6 @@ class TorusSpec:
     element_order: int
     torus_order: int
 
-    def to_json(self):
-        return {
-            "family": self.family,
-            "n": self.n,
-            "q": self.q,
-            "element_order": self.element_order,
-            "torus_order": self.torus_order,
-        }
-
 
 def _exact_sqrt(value):
     root = isqrt(value)
@@ -341,7 +335,11 @@ def _exact_sqrt(value):
 def singer_torus_order(tag, n, q):
     """Order of the distinguished (Singer-type) element and of the
     containing maximal torus in the simply-connected group."""
-    family, _, _ = _validate(tag, n, q)
+    _, n, _ = _validate(tag, n, q)
+    return _singer_torus_order(tag, n, q)
+
+
+def _singer_torus_order(tag, n, q):
     if tag == "PSL":
         ord_x = (q**n - 1) // (q - 1)
         return TorusSpec(tag, n, q, ord_x, ord_x)
@@ -366,11 +364,8 @@ def singer_torus_order(tag, n, q):
     if tag == "OmegaPlus":
         ord_x = (q ** (n - 1) + 1) // gcd(2, q - 1)
         return TorusSpec(tag, n, q, ord_x, ord_x * (q + 1))
-    if not family.parametric:
-        n = 0
-        ord_x = _exceptional_element_order(tag, q)
-        return TorusSpec(tag, n, q, ord_x, ord_x)
-    raise DomainError(f"no torus data for {tag}")
+    ord_x = _exceptional_element_order(tag, q)
+    return TorusSpec(tag, n, q, ord_x, ord_x)
 
 
 def _exceptional_element_order(tag, q):
@@ -443,8 +438,7 @@ class EliminationReport:
 
     def text_table(self):
         lines = [
-            f"{self.family}({self.n},{self.q})" if self.n
-            else f"{self.family}({self.q})",
+            point_label(self.family, self.n, self.q),
             f"  |S| = {self.simple_order}",
             f"  Steinberg degree |S|_p = {self.steinberg_degree}",
             f"  torus element order = {self.element_order}",
@@ -467,26 +461,6 @@ class EliminationReport:
 
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-_D_MAX = {
-    "PSL": lambda n: n,
-    "PSp": lambda n: 2 * n,
-    "PSU": lambda n: 2 * n,
-    "Omega": lambda n: 2 * n,
-    "OmegaMinus": lambda n: 2 * n,
-    "OmegaPlus": lambda n: 2 * n,
-    "2B2": lambda n: 4,
-    "2G2": lambda n: 6,
-    "2F4": lambda n: 12,
-    "G2": lambda n: 6,
-    "3D4": lambda n: 12,
-    "F4": lambda n: 12,
-    "E6": lambda n: 12,
-    "2E6": lambda n: 18,
-    "E7": lambda n: 18,
-    "E8": lambda n: 30,
-}
 
 
 def _candidate_overgroups(tag, n, q, flags):
@@ -549,22 +523,21 @@ def _candidate_overgroups(tag, n, q, flags):
             raise UnsupportedCaseError(
                 "G2 with q <= 4 needs the direct subgroup check, which is "
                 "not encoded here")
-        return [("SU3(q).2", _gu_order(3, q) // (q + 1) * (q + 1) * 2)]
+        return [("SU3(q).2", _gu_order(3, q) * 2)]
     if tag == "F4":
         if q == 2:
             raise UnsupportedCaseError(
                 "F4(2) uses a different element class; not encoded here")
-        return [("3D4(q).3", group_order("3D4", 0, q).simply_connected * 3)]
+        return [("3D4(q).3", _sc_and_center("3D4", 0, q)[0] * 3)]
     if tag == "E6":
-        return [("SL3(q^3).3", _gl_order(3, q**3) // (q**3 - 1)
-                 * (q**3 - 1) * 3 // gcd(3, q - 1))]
+        return [("SL3(q^3).3", _gl_order(3, q**3) * 3 // gcd(3, q - 1))]
     if tag == "2E6":
         return [("SU3(q^3).3", _gu_order(3, q**3) * 3 // gcd(3, q + 1))]
     if tag == "E7":
         if q == 2:
             raise UnsupportedCaseError(
                 "E7(2) uses a different element class; not encoded here")
-        sub = group_order("2E6", 0, q).simply_connected
+        sub = _sc_and_center("2E6", 0, q)[0]
         return [("(Z(q+1) x 2E6(q)).2", (q + 1) * sub * 2 // gcd(2, q - 1))]
     if tag == "E8":
         return [("N(T) = T.30", 30 * element)]
@@ -575,10 +548,8 @@ def eliminate(tag, n, q):
     """Which primitive prime divisors of the simple group order each
     candidate overgroup misses; Zsigmondy exception cases are flagged
     for manual handling rather than silently skipped."""
-    family, _, _ = _validate(tag, n, q)
-    if not family.parametric:
-        n = 0
-    orders = group_order(tag, n, q)
+    family, n, char = _validate(tag, n, q)
+    orders = _group_order(tag, n, q)
     if orders.non_simple:
         raise UnsupportedCaseError(
             f"{tag}({n},{q}) is not simple; elimination applies to simple "
@@ -586,7 +557,7 @@ def eliminate(tag, n, q):
     flags = []
     raw_candidates = _candidate_overgroups(tag, n, q, flags)
     simple = orders.simple
-    d_max = _D_MAX[tag](n)
+    d_max = family.d_max * n if family.parametric else family.d_max
     exceptions_hit = []
     primes_by_d = []
     for d in range(1, d_max + 1):
@@ -607,8 +578,7 @@ def eliminate(tag, n, q):
                 if bound % p != 0:
                     missing.append((d, p))
         candidates.append(CandidateOvergroup(label, bound, tuple(missing)))
-    return EliminationReport(tag, n, q, simple,
-                             steinberg_degree(tag, n, q),
-                             singer_torus_order(tag, n, q).element_order,
+    return EliminationReport(tag, n, q, simple, _p_part(simple, char),
+                             _singer_torus_order(tag, n, q).element_order,
                              candidates, exceptions_hit, flags)
 

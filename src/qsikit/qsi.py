@@ -186,7 +186,7 @@ def _subgroup_label(subgroup, index):
 
 
 def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
-                         steinberg_prime, prefilters, log):
+                         prefilters, log):
     """Search Irr(U) for a witness; append one log record for U."""
     if prefilters:
         if not simple_subgroup_prefilter(chi, subgroup):
@@ -207,9 +207,6 @@ def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
             continue
         if monomial and (k != 1 or phi.degree != 1):
             continue
-        if steinberg_prime is not None and not steinberg_kernel_constraint(
-                subgroup, phi, steinberg_prime):
-            continue
         if induce(phi, group, fusion) == k * chi:
             phi_kernel = kernel(phi)
             if subgroup.is_solvable():
@@ -226,8 +223,7 @@ def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
     return None
 
 
-def decide_qsi_character(group, chi, bounds=None, *, monomial=False,
-                         steinberg_prime=None):
+def decide_qsi_character(group, chi, bounds=None, *, monomial=False):
     """Decide whether an irreducible character is QSI (or monomial).
 
     Returns a verdict carrying either a re-verified witness or a pruning
@@ -252,7 +248,7 @@ def decide_qsi_character(group, chi, bounds=None, *, monomial=False,
         label = _subgroup_label(subgroup, position)
         witness = _search_one_subgroup(
             group, chi, subgroup, label, monomial=monomial,
-            steinberg_prime=steinberg_prime, prefilters=prefilters, log=log)
+            prefilters=prefilters, log=log)
         if witness is not None:
             status = (STATUS_MONOMIAL
                       if witness.multiplier == 1 and witness.phi.degree == 1

@@ -60,6 +60,19 @@ def test_order_wrong_arity(capsys):
     assert "PSL" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("order", "XYZ", "2", "3"), "error: unknown family 'XYZ'; known: "),
+    (("order", "2B2", "2", "8"), "error: 2B2 takes a single parameter q"),
+    (("eliminate", "PSL", "7"), "error: PSL takes parameters n and q"),
+])
+def test_family_parameter_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(message)
+
+
 def test_table_json_valid(capsys, schema):
     code, data, _ = run_json(capsys, schema, "table", "S4")
     assert code == 0

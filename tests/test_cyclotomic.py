@@ -122,12 +122,30 @@ def test_real_comparisons():
     assert half <= g
 
 
+def test_reflected_comparisons_with_rationals():
+    # >= and > reflect onto <= and <, so a rational works on either side
+    assert GOLDEN >= 0
+    assert GOLDEN > 0
+    assert 0 < GOLDEN
+    assert Fraction(1, 2) <= GOLDEN
+    assert not GOLDEN >= 1
+    assert not GOLDEN > GOLDEN
+
+
 def test_comparison_with_an_unsupported_type_raises_type_error():
     one = Cyclotomic.from_rational(1)
-    with pytest.raises(TypeError, match="not supported between instances"):
-        one <= 0.5
-    with pytest.raises(TypeError, match="not supported between instances"):
-        one < 0.5
+    for compare in (lambda: one <= 0.5, lambda: one < 0.5,
+                    lambda: one >= 0.5, lambda: one > 0.5,
+                    lambda: 0.5 <= one):
+        with pytest.raises(TypeError, match="not supported between instances"):
+            compare()
+
+
+def test_ordering_a_non_real_value_raises_domain_error():
+    with pytest.raises(DomainError):
+        Cyclotomic.zeta(3) >= 0
+    with pytest.raises(DomainError):
+        Cyclotomic.zeta(3) > 0
 
 
 real_terms = st.dictionaries(

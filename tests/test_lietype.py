@@ -192,12 +192,22 @@ def test_center_divides():
 # -- steinberg degrees
 
 
+# q raised to the number of positive roots, counted independently of the
+# order formulas the degree is read off
 @pytest.mark.parametrize("family,n,q,degree", [
     ("PSL", 2, 7, 7),
     ("PSp", 2, 3, 81),
     ("PSL", 3, 2, 8),
     ("PSU", 4, 2, 64),
     ("2B2", 0, 8, 64),
+    ("PSU", 3, 3, 3**3),
+    ("Omega", 3, 3, 3**9),
+    ("OmegaPlus", 4, 3, 3**12),
+    ("G2", 0, 3, 3**6),
+    ("2G2", 0, 27, 27**3),
+    ("2F4", 0, 2, 2**12),
+    ("E7", 0, 2, 2**63),
+    ("E8", 0, 2, 2**120),
 ])
 def test_steinberg_degrees(family, n, q, degree):
     assert steinberg_degree(family, n, q) == degree

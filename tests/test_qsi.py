@@ -72,7 +72,7 @@ def test_simple_subgroup_prefilter():
     table = character_table(group)
     chi4 = table.unique_by_degree(4)
     assert not simple_subgroup_prefilter(chi4, group)
-    assert simple_subgroup_prefilter(table.trivial_character(), group)
+    assert simple_subgroup_prefilter(trivial_character(group), group)
     solvable = PermGroup(5, [cyc(5, [0, 1, 2])])
     assert simple_subgroup_prefilter(chi4, solvable)
 
@@ -83,7 +83,7 @@ def test_steinberg_kernel_constraint():
     faithful = table.by_degree(3)[0]
     for p in (2, 3, 5):
         assert steinberg_kernel_constraint(group, faithful, p)
-    triv = table.trivial_character()
+    triv = trivial_character(group)
     assert not steinberg_kernel_constraint(group, triv, 2)
     assert not steinberg_kernel_constraint(group, triv, 3)
     assert steinberg_kernel_constraint(group, triv, 5)
@@ -171,7 +171,7 @@ def test_undecided_capacity_for_large_groups():
     verdict = decide_qsi_character(group, nontrivial, bounds)
     assert verdict.status == "undecided-capacity"
     # the trivial character still certifies through U = G
-    verdict0 = decide_qsi_character(group, table.trivial_character(), bounds)
+    verdict0 = decide_qsi_character(group, trivial_character(group), bounds)
     assert verdict0.has_witness
 
 
