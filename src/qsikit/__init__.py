@@ -17,7 +17,6 @@ from .chartab import (
     inner_product,
     kernel,
     permutation_character,
-    regular_character,
     restrict,
     trivial_character,
 )
@@ -60,7 +59,6 @@ from .qsi import (
     decide_qsi_character,
     decide_qsi_group,
     group_is_qsi,
-    quotient_transfer_check,
     random_subgroup_sweep,
     simple_subgroup_prefilter,
     steinberg_kernel_constraint,

@@ -120,9 +120,6 @@ class CharacterTable:
                 f"{len(matches)} irreducibles of degree {degree}, not unique")
         return matches[0]
 
-    def index_of(self, chi):
-        return self.irreducibles.index(chi)
-
     def to_json(self):
         classes = self.classes
         return {
@@ -402,13 +399,6 @@ def _split_by_eigenspaces(spaces, matrix, p):
 def trivial_character(group):
     classes = group.conjugacy_classes()
     return Character(group, [ONE] * len(classes))
-
-
-def regular_character(group):
-    classes = group.conjugacy_classes()
-    values = [Cyclotomic.from_rational(group.order)]
-    values += [ZERO] * (len(classes) - 1)
-    return Character(group, values)
 
 
 def permutation_character(group):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
 from math import gcd, prod
 from operator import itemgetter
 
@@ -740,12 +739,6 @@ class PermGroup:
         return all(s.conjugated_by(g) in sub
                    for s in sub.generators for g in self.generators)
 
-    def centre_order(self):
-        elems = self.elements()
-        gens = [g.images for g in self.generators]
-        return sum(1 for e in elems
-                   if all(_compose(e, g) == _compose(g, e) for g in gens))
-
     def point_stabilizer(self, point):
         """The stabilizer of a point, read off a BSGS based at that point."""
         levels = _build_bsgs(self.degree, [g.images for g in self.generators],
@@ -754,10 +747,6 @@ class PermGroup:
         chain = levels[1:]
         gens = [Permutation(t) for t in chain[0].gens] if chain else []
         return PermGroup(self.degree, gens, _chain=chain)
-
-    def conjugate_subgroup(self, g):
-        return PermGroup(self.degree, [s.conjugated_by(g)
-                                       for s in self.generators])
 
     def normalizer(self, sub, bound=ELEMENT_ENUMERATION_BOUND):
         """Normalizer of a subgroup: sub grown by its transporters into
@@ -885,15 +874,21 @@ class PermGroup:
         N = N_G(U) and u, v in U, <U, u e^n v> = <U, e^n> = <U, e>^n, so
         the orbit of e, the union of the double cosets U e^n U, gives one
         candidate up to conjugacy. Only its first element in sorted order
-        is adjoined; the rest is marked seen by closing {e} under
-        multiplication by U's generators on either side and conjugation
-        by the generators N has beyond U's. Conjugation by U itself is
-        left and then right multiplication, one compose each instead of
-        two. Adjoining one e per double coset instead registers the same
+        is adjoined, and the rest of the orbit is marked seen. Adjoining
+        one e per double coset instead registers the same
         representatives in the same order: each other double coset of
         the orbit is visited after e and gives a conjugate of <U, e>:
         capped if <U, e> was, and otherwise conjugate to a class
         registered by then.
+        The orbit is closed under left multiplication by U, so it is a
+        union of right cosets U y, and it is marked one coset at a time:
+        all of U y at once, through one getter per element of U, then
+        the cosets U y g for U's generators g and U y^n for the
+        generators n that N has beyond U's (U y^n = (U y)^n, as n
+        normalizes U). So a base costs [G:U] - 1 coset walks.
+        The trivial group is registered but is never a base: its
+        candidates <e> are each conjugate to a cyclic seed, so they
+        would register nothing.
         A proper subgroup has order at most |G|/2, so each candidate is
         grown from U's chain with that cap and dropped as soon as its
         partial chain exceeds it. Deduplication is by class-intersection
@@ -927,10 +922,8 @@ class PermGroup:
             by_profile.setdefault(profile, []).append(index)
             return index
 
+        register(PermGroup(self.degree, []))
         queue = []
-        trivial_index = register(PermGroup(self.degree, []))
-        if trivial_index is not None:
-            queue.append(trivial_index)
         for rep in classes.representatives:
             idx = register(PermGroup(self.degree, [rep]))
             if idx is not None:
@@ -941,28 +934,27 @@ class PermGroup:
         while queue:
             base = found[queue.pop(0)]
             base_gens = [g.images for g in base.generators]
-            lefts = [itemgetter(*u) for u in base_gens]
+            base_elems = base.elements()
+            # u y for y a coset representative; degree > 1 here, so each
+            # getter returns a tuple
+            lefts = [itemgetter(*u) for u in base_elems]
             # with U's generators these generate N_G(U); x^n is
             # (x then n) with n^-1 before it
             conjugators = [
                 (itemgetter(*_invert(n.images)), n.images)
                 for n in self.normalizer(base).generators[len(base_gens):]]
-            seen = set(base.elements())
+            seen = set(base_elems)
             for e in elems:
                 if e in seen:
                     continue
-                # <U, u e^n u'> = <U, e>^n: mark e's orbit
-                seen.add(e)
+                # <U, u e^n u'> = <U, e>^n: mark e's orbit coset by coset
+                seen.update([left(e) for left in lefts])
                 frontier = [e]
                 while frontier:
-                    x = frontier.pop()
-                    then = itemgetter(*x)
-                    for y in itertools.chain(
-                            map(then, base_gens),
-                            [left(x) for left in lefts],
-                            [before(then(n)) for before, n in conjugators]):
+                    for y in _coset_neighbours(frontier.pop(), base_gens,
+                                               conjugators):
                         if y not in seen:
-                            seen.add(y)
+                            seen.update([left(y) for left in lefts])
                             frontier.append(y)
                 try:
                     candidate = base._with(Permutation(e), _order_cap=cap)
@@ -977,6 +969,15 @@ class PermGroup:
         result = [sub for sub, _ in ranked]
         self._cache["subgroup_classes"] = result
         return result
+
+
+def _coset_neighbours(y, gens, conjugators):
+    """Representatives of the right cosets next to U y in the lattice's
+    orbit walk: y g for each generator g of U, and y^n for each pair
+    (getter of n^-1, n) of an extra generator n of N_G(U)."""
+    then = itemgetter(*y)
+    return ([then(g) for g in gens]
+            + [before(then(n)) for before, n in conjugators])
 
 
 def closure_order(generators, degree=None, bound=ELEMENT_ENUMERATION_BOUND):
@@ -1003,14 +1004,3 @@ def closure_order(generators, degree=None, bound=ELEMENT_ENUMERATION_BOUND):
                 seen.add(y)
                 frontier.append(y)
     return len(seen)
-
-
-def burnside_orbit_count(group):
-    """Number of orbits on points, by averaging fixed points over classes."""
-    classes = group.conjugacy_classes()
-    total = sum(size * rep.fixed_point_count()
-                for rep, size in zip(classes.representatives, classes.sizes))
-    value = Fraction(total, group.order)
-    if value.denominator != 1:
-        raise IntegrityError("orbit count is not an integer")
-    return int(value)

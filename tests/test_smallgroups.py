@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from qsikit.chartab import character_table
-from qsikit.perm import Permutation
+from qsikit.perm import Permutation, _compose
 from qsikit.smallgroups import (
     GROUP_COUNTS,
     abelian,
@@ -27,6 +27,12 @@ def test_counts_match_classification(groups):
         assert counts[n] == GROUP_COUNTS[n - 1], f"order {n}"
 
 
+def centre_order(group):
+    gens = [g.images for g in group.generators]
+    return sum(1 for e in group.elements()
+               if all(_compose(e, g) == _compose(g, e) for g in gens))
+
+
 def _fingerprint(group):
     classes = group.conjugacy_classes()
     order_profile = Counter()
@@ -42,7 +48,7 @@ def _fingerprint(group):
             tuple(sorted(classes.sizes)),
             tuple(sorted(degrees)),
             derived.order,
-            group.centre_order(),
+            centre_order(group),
             tuple(sorted(ab_profile.items())))
 
 
