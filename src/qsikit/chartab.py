@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import itemgetter
 
 from .cyclotomic import Cyclotomic, ONE, ZERO
 from .errors import DomainError, IntegrityError
@@ -470,7 +471,9 @@ def induce_pointwise(phi, group):
     Otherwise each conjugate x^y is looked up in U's element-to-class
     map, which holds every element of U: a hit gives its U-class, a miss
     means x^y is not in U. The sum still runs over every element of G
-    and reads no fusion, so it stays independent of `induce`.
+    and reads no fusion, so it stays independent of `induce`. One pass
+    over G serves every class: for each y, x^y = y^-1 x y is "x then y"
+    read back through y^-1, one getter call each.
     """
     subgroup = phi.group
     if not subgroup.is_subgroup_of(group):
@@ -483,17 +486,19 @@ def induce_pointwise(phi, group):
             values[g_index] = phi.values[s_index]
         return Character(group, values)
     s_classes = subgroup.conjugacy_classes()
-    elements = group.elements()
-    inverses = [_invert(y) for y in elements]
     lookup = s_classes.element_to_class.get
-    values = []
-    for rep in g_classes.representatives:
-        x = rep.images
-        hits = {}
-        for y, y_inv in zip(elements, inverses):
-            index = lookup(_compose(y_inv, _compose(x, y)))
+    # U is proper, so |G| > 1 and the degree is at least 2: each getter
+    # returns a tuple
+    reps = [itemgetter(*rep.images) for rep in g_classes.representatives]
+    class_hits = [{} for _ in reps]
+    for y in group.elements():
+        back = itemgetter(*_invert(y))
+        for rep, hits in zip(reps, class_hits):
+            index = lookup(back(rep(y)))
             if index is not None:
                 hits[index] = hits.get(index, 0) + 1
+    values = []
+    for hits in class_hits:
         total = ZERO
         for index, count in sorted(hits.items()):
             total = total + phi.values[index] * count

@@ -6,8 +6,11 @@ set, which backs order and membership queries. It continues from any
 valid partial chain, so a point stabilizer keeps the lower levels of a
 chain based at its point, and a subgroup grown from a known one (normal
 closures, lattice candidates) continues its parent's chain. Everything
-here is exact and, for a fixed input, reproducible: no randomized
-algorithms are used anywhere on the query paths.
+here is exact and, for a fixed input, reproducible. The one randomized
+algorithm, the lower-bound certificate of ``from_generators_bounded``,
+draws from a private fixed-seed generator and can only answer "order
+above the cap"; every group that is built comes from the deterministic
+Schreier-Sims.
 
 Composition convention: ``(p * q)(i) == q(p(i))``, i.e. p acts first.
 Points are 0-based internally; the text file format uses 1-based cycles.
@@ -20,6 +23,7 @@ class enumeration, class matrices) spends its time on.
 from __future__ import annotations
 
 import itertools
+import random
 import re
 from math import gcd, prod
 from operator import itemgetter
@@ -392,6 +396,106 @@ def _build_bsgs(degree, gens, levels, order_cap=None):
     return levels
 
 
+# the order certificate's private generator seed, and the run of
+# consecutive sifts to the identity after which it gives up
+_CERTIFICATE_SEED = 20261018
+_CERTIFICATE_SIFTS = 10
+
+
+class _LeanLevel:
+    """A level of the order certificate's partial chain: what ``_sift``
+    reads (the base point and one inverse transversal element per orbit
+    point) and the generators, with their inverses, that grow the orbit.
+    Unlike ``_Level`` it builds no forward transversal, which nothing
+    here reads."""
+
+    __slots__ = ("beta", "moves", "inverses")
+
+    def __init__(self, beta, identity):
+        self.beta = beta
+        self.moves = []
+        self.inverses = {beta: identity}
+
+    def add_generator(self, g, g_inv):
+        """Adjoin g and extend the orbit, as ``_Level.add_generator``
+        does; a new point's inverse is h^-1 ta^-1."""
+        self.moves.append((g, g_inv))
+        inverses = self.inverses
+        frontier = list(inverses)
+        moves = ((g, g_inv),)
+        while frontier:
+            found = []
+            for a in frontier:
+                a_inv = inverses[a]
+                for h, h_inv in moves:
+                    b = h[a]
+                    if b not in inverses:
+                        inverses[b] = _compose(h_inv, a_inv)
+                        found.append(b)
+            frontier = found
+            moves = self.moves
+
+
+def _product_replacement(gens, rng):
+    """An endless stream of elements of the group generated by gens (a
+    non-empty list of image tuples): product replacement on 10 or more
+    slots, where a random slot becomes its product with another slot,
+    on a random side, and an accumulator is multiplied by that slot."""
+    state = list(gens) * -(-10 // len(gens))
+    size = len(state)
+    accumulator = tuple(range(len(gens[0])))
+    while True:
+        i = rng.randrange(size)
+        j = (i + 1 + rng.randrange(size - 1)) % size
+        if rng.getrandbits(1):
+            state[i] = _compose(state[i], state[j])
+        else:
+            state[i] = _compose(state[j], state[i])
+        accumulator = _compose(accumulator, state[i])
+        yield accumulator
+
+
+def _certifies_order_above(degree, gens, order_cap):
+    """True when a random Schreier-Sims chain of the group generated by
+    gens (non-identity image tuples) shows that its order exceeds
+    order_cap; False when the certificate gives up.
+
+    The generators are sifted first, then product replacement elements
+    drawn from a private fixed-seed generator. A residue that is not the
+    identity becomes a generator of the level it sifted to, and of no
+    other: the lower bound needs no more, and the random elements that
+    sift to an earlier level grow that level's orbit themselves. Each
+    level's generators are words in gens that fix the earlier base
+    points, so each partial orbit lies inside the group's basic orbit,
+    and the product of the orbit lengths is a lower bound on the order.
+    The certificate gives up after _CERTIFICATE_SIFTS consecutive sifts
+    to the identity.
+    """
+    if order_cap < 1:  # the empty chain shows order >= 1
+        return True
+    if not gens:
+        return False
+    identity = tuple(range(degree))
+    levels = []
+    misses = 0
+    rng = random.Random(_CERTIFICATE_SEED)
+    for t in itertools.chain(gens, _product_replacement(gens, rng)):
+        residue, i = _sift(levels, t)
+        if residue == identity:
+            misses += 1
+            if misses == _CERTIFICATE_SIFTS:
+                return False
+            continue
+        misses = 0
+        # the residue fixes the base points before level i
+        if i == len(levels):
+            beta = next(a for a, b in enumerate(residue) if a != b)
+            levels.append(_LeanLevel(beta, identity))
+        levels[i].add_generator(residue, _invert(residue))
+        if prod(len(level.inverses) for level in levels) > order_cap:
+            return True
+
+
 # ---------------------------------------------------------------------------
 # groups
 
@@ -470,6 +574,23 @@ class ConjugacyClassSet:
         return self._centralizers[i]
 
 
+def _validated_generators(degree, generators):
+    """The non-identity generators as Permutations of the given degree;
+    raises MalformedInputError on a bad degree or generator."""
+    if degree < 1:
+        raise MalformedInputError("degree must be >= 1")
+    gens = []
+    for g in generators:
+        if not isinstance(g, Permutation):
+            g = Permutation(g)
+        if g.degree != degree:
+            raise MalformedInputError(
+                f"generator degree {g.degree} != group degree {degree}")
+        if not g.is_identity():
+            gens.append(g)
+    return tuple(gens)
+
+
 class PermGroup:
     """A permutation group with BSGS-backed order and membership.
 
@@ -482,19 +603,9 @@ class PermGroup:
         # private: the build continues from _chain, a complete chain of a
         # subgroup of the result, and takes it over; past _order_cap it
         # raises _OrderCapExceeded
-        if degree < 1:
-            raise MalformedInputError("degree must be >= 1")
-        gens = []
-        for g in generators:
-            if not isinstance(g, Permutation):
-                g = Permutation(g)
-            if g.degree != degree:
-                raise MalformedInputError(
-                    f"generator degree {g.degree} != group degree {degree}")
-            if not g.is_identity():
-                gens.append(g)
+        gens = _validated_generators(degree, generators)
         self.degree = degree
-        self.generators = tuple(gens)
+        self.generators = gens
         self._levels = _build_bsgs(degree, [g.images for g in gens],
                                    [] if _chain is None else _chain,
                                    _order_cap)
@@ -509,13 +620,31 @@ class PermGroup:
 
     @classmethod
     def from_generators_bounded(cls, generators, degree, order_cap):
-        """The generated group, or None once its order exceeds order_cap.
+        """The generated group, or None exactly when its order exceeds
+        order_cap.
 
-        The early exit is exact: a partial stabilizer chain is a subgroup
-        of the target, so its order is a lower bound.
+        The generators are validated first, as by the constructor. Then
+        two stages run, each exact:
+
+        1. A random Schreier-Sims certificate (``_certifies_order_above``)
+           sifts the generators and a fixed-seed stream of product
+           replacement elements through a partial chain. Its strong
+           generators are words in the inputs, so each partial orbit lies
+           inside the true basic orbit and the product of orbit lengths
+           is a lower bound on the order: once it exceeds order_cap the
+           answer is None, and a false None cannot occur. It gives up
+           after a fixed run of sifts to the identity.
+        2. Otherwise the deterministic capped build runs, and returns
+           None once its partial chain (a chain of a subgroup of the
+           target) exceeds order_cap. So every group returned is the
+           deterministic build's, whatever the certificate did.
         """
+        gens = _validated_generators(degree, generators)
+        if _certifies_order_above(degree, [g.images for g in gens],
+                                  order_cap):
+            return None
         try:
-            return cls(degree, generators, _order_cap=order_cap)
+            return cls(degree, gens, _order_cap=order_cap)
         except _OrderCapExceeded:
             return None
 
@@ -599,12 +728,16 @@ class PermGroup:
         return elems
 
     def random_element(self, rng):
-        """Uniformly random element via the BSGS coset decomposition."""
+        """Uniformly random element via the BSGS coset decomposition: one
+        transversal element per level, the bottom level's first, each
+        chosen by ``rng.choice`` over the level's sorted orbit points."""
+        if "random_transversals" not in self._cache:
+            self._cache["random_transversals"] = [
+                [level.transversal[a] for a in sorted(level.transversal)]
+                for level in reversed(self._levels)]
         t = tuple(range(self.degree))
-        for level in reversed(self._levels):
-            points = sorted(level.transversal)
-            u = level.transversal[rng.choice(points)]
-            t = _compose(t, u)
+        for transversal in self._cache["random_transversals"]:
+            t = _compose(t, rng.choice(transversal))
         return Permutation(t)
 
     # -- conjugacy classes
@@ -978,29 +1111,3 @@ def _coset_neighbours(y, gens, conjugators):
     then = itemgetter(*y)
     return ([then(g) for g in gens]
             + [before(then(n)) for before, n in conjugators])
-
-
-def closure_order(generators, degree=None, bound=ELEMENT_ENUMERATION_BOUND):
-    """Group order by plain multiplicative closure; an independent check
-    against the BSGS order."""
-    gens = [g.images if isinstance(g, Permutation) else tuple(g)
-            for g in generators]
-    if degree is None:
-        if not gens:
-            raise MalformedInputError("degree required for empty generators")
-        degree = len(gens[0])
-    identity = tuple(range(degree))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = _compose(x, g)
-            if y not in seen:
-                if len(seen) >= bound:
-                    raise CapacityError(
-                        f"closure exceeded the enumeration bound {bound}",
-                        bound=bound)
-                seen.add(y)
-                frontier.append(y)
-    return len(seen)

@@ -58,7 +58,7 @@ def test_orders_agree_with_lie_type_formulas():
 def test_bsgs_orders_match_exhaustive_closure():
     # every catalog entry fits the enumeration bound, so the plain
     # multiplicative closure is an independent order oracle
-    from qsikit.perm import closure_order
+    from test_perm import closure_order
 
     for group_id in EXPECTED_ORDERS:
         group = catalog.load(group_id)

@@ -7,17 +7,43 @@ import pytest
 
 from qsikit.errors import CapacityError, DomainError, MalformedInputError
 from qsikit.perm import (
+    ELEMENT_ENUMERATION_BOUND,
     PermGroup,
     Permutation,
     _OrderCapExceeded,
     _compose,
     _conjugate,
     _invert,
-    closure_order,
     format_generator_file,
     parse_cycle_string,
     parse_generator_file,
 )
+
+
+def closure_order(generators, degree=None, bound=ELEMENT_ENUMERATION_BOUND):
+    """Group order by plain multiplicative closure; an independent check
+    against the BSGS order."""
+    gens = [g.images if isinstance(g, Permutation) else tuple(g)
+            for g in generators]
+    if degree is None:
+        if not gens:
+            raise MalformedInputError("degree required for empty generators")
+        degree = len(gens[0])
+    identity = tuple(range(degree))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = _compose(x, g)
+            if y not in seen:
+                if len(seen) >= bound:
+                    raise CapacityError(
+                        f"closure exceeded the enumeration bound {bound}",
+                        bound=bound)
+                seen.add(y)
+                frontier.append(y)
+    return len(seen)
 
 
 def cyc(n, *cycles):
@@ -218,6 +244,65 @@ def test_bounded_construction_rejects_a_wrong_degree():
         PermGroup.from_generators_bounded([cyc(6, [4, 5])], 5, 100)
     with pytest.raises(MalformedInputError):
         PermGroup.from_generators_bounded([cyc(6, list(range(6)))], 5, 1)
+    # also where the certificate alone would already answer None
+    with pytest.raises(MalformedInputError):
+        PermGroup.from_generators_bounded([cyc(6, [4, 5])], 5, 0)
+    with pytest.raises(MalformedInputError):
+        PermGroup.from_generators_bounded([(0, 0, 1)], 3, 0)
+
+
+def test_bounded_construction_matches_the_full_build():
+    # None exactly when the full build's order exceeds the cap, otherwise
+    # the full build's group, generator for generator; the certificate
+    # never claims more than the true order, and it answers for almost
+    # every pair that generates PSU(4,2). Inputs: 300 seeded PSU(4,2)
+    # pairs, 50 pairs each from M11 and A7, and each of the 30 random
+    # small groups with its own generators and with 5 of its pairs.
+    from qsikit import catalog
+    from qsikit.perm import _certifies_order_above
+
+    rng = random.Random(20261018)
+    cases = []
+    for name, count in (("PSU42", 300), ("M11", 50), ("A7", 50)):
+        group = catalog.load(name)
+        cases += [(group, [group.random_element(rng) for _ in range(2)])
+                  for _ in range(count)]
+    for group in random_small_groups():
+        cases.append((group, list(group.generators)))
+        cases += [(group, [group.random_element(rng) for _ in range(2)])
+                  for _ in range(5)]
+    whole = certified = 0
+    for group, gens in cases:
+        full = PermGroup(group.degree, gens)
+        for cap in (full.order - 1, full.order, group.order // 2):
+            bounded = PermGroup.from_generators_bounded(gens, group.degree,
+                                                        cap)
+            if full.order > cap:
+                assert bounded is None
+            else:
+                assert bounded is not None and bounded.order == full.order
+                assert [g.images for g in bounded.generators] == \
+                    [g.images for g in full.generators]
+                assert [level.beta for level in bounded._levels] == \
+                    [level.beta for level in full._levels]
+        images = [g.images for g in full.generators]
+        assert not _certifies_order_above(group.degree, images, full.order)
+        if group.degree == 27 and full.order == group.order:
+            whole += 1
+            certified += _certifies_order_above(group.degree, images,
+                                                group.order // 2)
+    assert whole > 200 and certified >= whole - 3
+
+
+def test_bounded_construction_edge_cases():
+    # degree 1, no generators, identity-only generators
+    cases = (([Permutation.identity(1)], 1), ([], 1),
+             ([Permutation.identity(5)] * 2, 5))
+    for gens, degree in cases:
+        assert PermGroup.from_generators_bounded(gens, degree, 0) is None
+        for cap in (1, 2):
+            trivial = PermGroup.from_generators_bounded(gens, degree, cap)
+            assert trivial.order == 1 and trivial.generators == ()
 
 
 def test_elements_and_random_elements():
