@@ -40,10 +40,6 @@ class Character:
     def degree(self):
         return self.values[0].integer_value()
 
-    def value_at(self, perm):
-        classes = self.group.conjugacy_classes()
-        return self.values[classes.class_of(perm)]
-
     def __add__(self, other):
         if isinstance(other, Character):
             if other.group is not self.group:

@@ -54,7 +54,7 @@ def _search_bounds(args):
 
 
 def _cmd_table(args):
-    group = catalog.resolve(args.group, args.fixtures)
+    group = catalog.resolve(args.group)
     group.conjugacy_classes(bound=args.max_elements)
     table = character_table(group)
     data = table.to_json()
@@ -92,7 +92,7 @@ def _select_character(table, selector):
 
 
 def _cmd_qsi(args):
-    group = catalog.resolve(args.group, args.fixtures)
+    group = catalog.resolve(args.group)
     group.conjugacy_classes(bound=args.max_elements)
     table = character_table(group)
     bounds = _search_bounds(args)
@@ -173,8 +173,7 @@ def _cmd_verify_paper(args):
         raise DomainError(
             f"the sweep needs at least 1 sample, not {args.samples}")
     ok, result, lines = paper.CASES[args.case](
-        fixtures=args.fixtures, bounds=_search_bounds(args),
-        samples=args.samples)
+        bounds=_search_bounds(args), samples=args.samples)
     lines.append(f"case {args.case}: {'PASS' if ok else 'FAIL'}")
     result = {"case": args.case, "ok": ok, "details": result}
     _emit("verify-paper", result, lines, args.json)
@@ -195,8 +194,6 @@ def build_parser():
     def add_common(p, group_flags=False, element_flag=False):
         p.add_argument("--json", action="store_true",
                        help="emit a JSON envelope instead of text")
-        p.add_argument("--fixtures", default=None,
-                       help="alternate fixtures directory")
         if element_flag:
             p.add_argument("--max-elements", type=int,
                            default=ELEMENT_ENUMERATION_BOUND,

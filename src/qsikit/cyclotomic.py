@@ -257,9 +257,6 @@ class Cyclotomic:
             raise DomainError(f"value is not an integer: {self!r}")
         return int(value)
 
-    def is_integer(self):
-        return self.conductor == 1 and self.coeffs[0].denominator == 1
-
     def real_sign(self):
         """Exact sign of a real cyclotomic value, in integer arithmetic.
 
@@ -360,11 +357,6 @@ class Cyclotomic:
             "coefficients": [[c.numerator, c.denominator]
                              for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        coeffs = [Fraction(num, den) for num, den in data["coefficients"]]
-        return cls(data["conductor"], coeffs)
 
 
 @cache

@@ -12,7 +12,7 @@ be re-verified by plain divisibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd, isqrt, log2
 
 from .errors import DomainError, UnsupportedCaseError
 from .primes import is_prime, prime_factors
@@ -79,16 +79,10 @@ class PpdProperties:
     prime: int
     congruence_ok: bool
 
-    def divisibility_rule(self, m):
-        """True iff 'prime | d^m - 1 implies n | m' holds for this m."""
-        if pow(self.d, m, self.prime) != 1:
-            return True
-        return m % self.n == 0
-
 
 def ppd_properties(d, n, p):
-    """Check p = 1 mod n and expose the order-divisibility rule for a
-    primitive prime divisor p of d^n - 1."""
+    """Check that p is a primitive prime divisor of d^n - 1, and whether
+    p = 1 mod n."""
     if pow(d, n, p) != 1 or any(pow(d, k, p) == 1 for k in range(1, n)):
         raise DomainError(f"{p} is not a primitive prime divisor of "
                           f"{d}^{n} - 1")
@@ -99,13 +93,33 @@ def ppd_properties(d, n, p):
 # families and order formulas
 
 
+def _integer_root(n, r):
+    """The floor of the r-th root of n >= 1, by Newton's method from a
+    float estimate just above it: a relative margin of 2^-30 exceeds the
+    float error of log2(n) / r."""
+    e = log2(n) / r
+    shift = max(int(e) - 52, 0)
+    x = (int(2 ** (e - shift) * (1 + 2**-30)) + 1) << shift
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power(q):
-    primes = prime_factors(q) if q >= 2 else ()
-    if len(primes) != 1:
-        raise DomainError(f"q = {q} is not a prime power")
-    p, r = primes[0], 0
-    while q > 1:
-        q, r = q // p, r + 1
+    """(p, r) with q = p^r and p prime, found without factoring q: while
+    q is not prime, it is p^r with r > 1 only if it is an exact k-th
+    power for a prime k <= log2 q, whose root is then p^(r/k)."""
+    p, r = q, 1
+    while not is_prime(p):
+        for k in filter(is_prime, range(2, max(p, 1).bit_length())):
+            root = _integer_root(p, k)
+            if root**k == p:
+                p, r = root, r * k
+                break
+        else:
+            raise DomainError(f"q = {q} is not a prime power")
     return p, r
 
 

@@ -2,12 +2,11 @@
 the acceptance suite.
 
 ``CASES`` maps each case name to its function. Every case takes the
-keyword arguments ``fixtures`` (an alternate fixtures directory),
-``bounds`` (a ``SearchBounds``) and ``samples`` (the sweep size), uses
-those it needs, and returns ``(ok, details, lines)``: whether the paper's
-claim reproduced, a JSON-ready dict, and the text report. The functions
-the cases build on return the groups, characters, witnesses and verdicts
-themselves, for callers that check them directly.
+keyword arguments ``bounds`` (a ``SearchBounds``) and ``samples`` (the
+sweep size), uses those it needs, and returns ``(ok, details, lines)``:
+whether the paper's claim reproduced, a JSON-ready dict, and the text
+report. The functions the cases build on return the groups, characters,
+witnesses and verdicts themselves, for callers that check them directly.
 """
 
 from __future__ import annotations
@@ -40,10 +39,10 @@ from .qsi import (
 SWEEP_SAMPLES = 10000
 
 
-def a5_not_qsi(*, fixtures=None, bounds=None, samples=SWEEP_SAMPLES):
+def a5_not_qsi(*, bounds=None, samples=SWEEP_SAMPLES):
     """The degree-4 character of A5 is refuted over all 9 subgroup
     classes, so A5 is not QSI."""
-    verdicts = decide_qsi_group(catalog.load("A5", fixtures), bounds)
+    verdicts = decide_qsi_group(catalog.load("A5"), bounds)
     deg4 = next(v for v in verdicts if v.character.degree == 4)
     classes_seen = len(deg4.pruning_log)
     ok = (deg4.status == STATUS_REFUTED and classes_seen == 9
@@ -54,10 +53,10 @@ def a5_not_qsi(*, fixtures=None, bounds=None, samples=SWEEP_SAMPLES):
     return ok, {"verdicts": [v.to_json() for v in verdicts]}, lines
 
 
-def psl27_verdicts(fixtures=None, bounds=None):
+def psl27_verdicts(bounds=None):
     """PSL(2,7) and its verdicts keyed by character degree: monomial for
     the Steinberg characters of degree 7 and 8, QSI for degree 6."""
-    group = catalog.load("PSL27", fixtures)
+    group = catalog.load("PSL27")
     table = character_table(group)
     verdicts = {degree: decide_qsi_character(
         group, table.unique_by_degree(degree), bounds, monomial=True)
@@ -67,11 +66,10 @@ def psl27_verdicts(fixtures=None, bounds=None):
     return group, verdicts
 
 
-def psl27_steinberg_monomial(*, fixtures=None, bounds=None,
-                             samples=SWEEP_SAMPLES):
+def psl27_steinberg_monomial(*, bounds=None, samples=SWEEP_SAMPLES):
     """The PSL(2,7) characters of degree 7 and 8 are monomial; the one of
     degree 6 is not even QSI."""
-    _, verdicts = psl27_verdicts(fixtures, bounds)
+    _, verdicts = psl27_verdicts(bounds)
     lines = []
     for degree in (7, 8):
         verdict = verdicts[degree]
@@ -86,12 +84,12 @@ def psl27_steinberg_monomial(*, fixtures=None, bounds=None,
     return ok, details, lines
 
 
-def psp43_witness(fixtures=None):
+def psp43_witness():
     """PSp4(3) = PSU(4,2) on 27 points, its Steinberg character St of
     degree 81, and the witness (U, phi, 2) with |U| = 160 and
     phi^G = 2 St, re-verified by ``verify_qsi_witness`` (which raises
     ``IntegrityError`` when it fails)."""
-    group, subgroup, entry = catalog.load_subgroup("PSU42_U160", fixtures)
+    group, subgroup, entry = catalog.load_subgroup("PSU42_U160")
     steinberg = character_table(group).unique_by_degree(81)
     index = entry["witness_linear_char_index"]
     phi = character_table(subgroup).irreducibles[index]
@@ -109,11 +107,11 @@ def steinberg_sweep(group, steinberg, samples=SWEEP_SAMPLES):
                                  monomial=True, steinberg_prime=3)
 
 
-def psp43_2st_witness(*, fixtures=None, bounds=None, samples=SWEEP_SAMPLES):
+def psp43_2st_witness(*, bounds=None, samples=SWEEP_SAMPLES):
     """Twice the Steinberg character of PSp4(3) is induced from a linear
     character, while the sweep finds no subgroup that St itself could be
     induced from."""
-    group, steinberg, witness = psp43_witness(fixtures)
+    group, steinberg, witness = psp43_witness()
     subgroup, phi = witness.subgroup, witness.phi
     matches = induce(phi, group) == 2 * steinberg
     kernel_order = subgroup.order // witness.solvable_quotient_order
@@ -142,10 +140,10 @@ def psp43_2st_witness(*, fixtures=None, bounds=None, samples=SWEEP_SAMPLES):
     return ok, details, lines
 
 
-def m11_pairs(fixtures=None):
+def m11_pairs():
     """M11 and 200 pairs (x, y) with x of order 8 and y of order 11,
     drawn uniformly from those elements with a fixed seed."""
-    group = catalog.load("M11", fixtures)
+    group = catalog.load("M11")
     classes = group.conjugacy_classes()
     pools = {n: [e for members, order in zip(classes.class_elements,
                                              classes.rep_orders)
@@ -157,10 +155,9 @@ def m11_pairs(fixtures=None):
     return group, pairs
 
 
-def m11_generation_sample(*, fixtures=None, bounds=None,
-                          samples=SWEEP_SAMPLES):
+def m11_generation_sample(*, bounds=None, samples=SWEEP_SAMPLES):
     """Every sampled pair of elements of orders 8 and 11 generates M11."""
-    group, pairs = m11_pairs(fixtures)
+    group, pairs = m11_pairs()
     # a subgroup of order above |G|/2 is all of G
     successes = sum(PermGroup.from_generators_bounded(
         [x, y], group.degree, group.order // 2) is None for x, y in pairs)
@@ -170,12 +167,12 @@ def m11_generation_sample(*, fixtures=None, bounds=None,
             {"trials": len(pairs), "successes": successes}, lines)
 
 
-def restriction_identity(n, fixtures=None):
+def restriction_identity(n):
     """Restrict pi_n - 1 from A_n to the two-point stabilizer A_(n-2) and
     compare with (pi_(n-2) - 1) + 2 * 1, the smaller character transported
     along the embedding."""
-    big = catalog.load(f"A{n}", fixtures)
-    small = catalog.load(f"A{n - 2}", fixtures)
+    big = catalog.load(f"A{n}")
+    small = catalog.load(f"A{n - 2}")
     embedded = PermGroup(n, [Permutation(g.images + (n - 2, n - 1))
                              for g in small.generators])
     chi_big = permutation_character(big) - trivial_character(big)
@@ -192,10 +189,9 @@ def restriction_identity(n, fixtures=None):
     return restrict(chi_big, embedded) == expected
 
 
-def an_restriction_identity(*, fixtures=None, bounds=None,
-                            samples=SWEEP_SAMPLES):
+def an_restriction_identity(*, bounds=None, samples=SWEEP_SAMPLES):
     """The restriction identity holds for A_n -> A_(n-2), n = 7, 8, 9."""
-    details = {f"A{n}": restriction_identity(n, fixtures) for n in (7, 8, 9)}
+    details = {f"A{n}": restriction_identity(n) for n in (7, 8, 9)}
     lines = [f"A{n} -> A{n - 2}: restriction identity holds: "
              f"{details[f'A{n}']}" for n in (7, 8, 9)]
     return all(details.values()), details, lines

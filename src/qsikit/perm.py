@@ -531,10 +531,6 @@ class ConjugacyClassSet:
     def __len__(self):
         return len(self.representatives)
 
-    def class_of(self, perm):
-        key = perm.images if isinstance(perm, Permutation) else tuple(perm)
-        return self.element_to_class[key]
-
     def conjugator(self, z):
         """An image tuple t with rep^t == z, rep the representative of z's
         class.
@@ -792,10 +788,9 @@ class PermGroup:
         self._cache["classes"] = result
         return result
 
-    def element_orders_present(self, bound=ELEMENT_ENUMERATION_BOUND):
+    def element_orders_present(self):
         """Exact set of element orders."""
-        classes = self.conjugacy_classes(bound)
-        return set(classes.rep_orders)
+        return set(self.conjugacy_classes().rep_orders)
 
     # -- structure
 
@@ -881,7 +876,7 @@ class PermGroup:
         gens = [Permutation(t) for t in chain[0].gens] if chain else []
         return PermGroup(self.degree, gens, _chain=chain)
 
-    def normalizer(self, sub, bound=ELEMENT_ENUMERATION_BOUND):
+    def normalizer(self, sub):
         """Normalizer of a subgroup: sub grown by its transporters into
         itself, each adjoined only while the group grown so far lacks it,
         so its generators are sub's and then those transporters. The
@@ -889,7 +884,7 @@ class PermGroup:
         if not sub.generators:
             return self
         norm = sub
-        for e in self._transporters(sub, sub, bound):
+        for e in self._transporters(sub, sub):
             if not norm.contains_tuple(e):
                 norm = norm._with(Permutation(e))
         return norm
@@ -947,8 +942,7 @@ class PermGroup:
             counts[c] += 1
         return tuple(counts)
 
-    def _transporters(self, a, b, bound=ELEMENT_ENUMERATION_BOUND,
-                      b_profile=None):
+    def _transporters(self, a, b, b_profile=None):
         """The elements e of self with e^-1 a e <= b, each once.
 
         Such an e takes a generator x of a to some y in b with the class
@@ -960,8 +954,8 @@ class PermGroup:
         b_profile, when given, is b's class-intersection profile.
         """
         if not a.generators:
-            return iter(self.elements(bound))
-        classes = self.conjugacy_classes(bound)
+            return iter(self.elements())
+        classes = self.conjugacy_classes()
         element_to_class = classes.element_to_class
         b_elems = b.elements()
         if b_profile is None:

@@ -6,17 +6,26 @@ pseudoprime (Sorenson and Webster, 2015). At or above that bound it is
 the strong BPSW test (Baillie and Wagstaff, 1980): a base-2 strong
 probable-prime test and a strong Lucas test with Selfridge's parameters.
 No composite is known to pass it, but none is proven not to.
+
+`prime_factors` gives up with `CapacityError` when its Pollard rho runs
+would pass _RHO_WORK, counted as iterations times the bit length of the
+number iterated on, since that is roughly what an iteration costs. It is
+reached within about a second, and lets rho find a prime factor of up to
+about 38 bits in a 100-bit number, or of about 32 bits in an 800-bit one.
 """
 
 from functools import cache
 from itertools import compress, count
 from math import gcd, isqrt
 
+from .errors import CapacityError
+
 _SMALL_PRIMES = tuple(p for p in range(2, 1000)
                       if all(p % d for d in range(2, isqrt(p) + 1)))
 _MR_BASES = _SMALL_PRIMES[:13]  # 2, 3, ..., 41
 _MR_EXACT_BELOW = 3317044064679887385961981
 _PM1_BOUND = 30000  # smoothness bound B of the p - 1 stage
+_RHO_WORK = 2**27  # bit-iterations of x -> x^2 + c in one factorisation
 
 
 def _strong_probable_prime(n, a):
@@ -89,11 +98,23 @@ def is_prime(n):
             and _strong_lucas_probable_prime(n))
 
 
-def _brent_rho(n, c):
+def _brent_rho(n, c, left):
     """A divisor of the composite n by Pollard rho in Brent's variant,
-    iterating x -> x^2 + c; n itself when this c fails."""
+    iterating x -> x^2 + c; n itself when this c fails.
+
+    left is a one-item list of the work the factorisation may still
+    spend. A window of length r is charged 2r iterations, its most, times
+    the bit length of n, and CapacityError is raised before a window that
+    left cannot pay for."""
     y, r, q, g = 2, 1, 1, 1
     while g == 1:
+        cost = 2 * r * n.bit_length()
+        if cost > left[0]:
+            raise CapacityError(
+                f"no factor of a {n.bit_length()}-bit number within the "
+                f"Pollard rho bound of {_RHO_WORK} bit-iterations",
+                bound=_RHO_WORK)
+        left[0] -= cost
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -149,7 +170,8 @@ def prime_factors(n):
     Trial division by the primes below 1000 comes first. Each composite
     left after it goes to Pollard's p - 1 method, which splits off the
     primes with a smooth p - 1 at the cost of one modular power, and, if
-    that fails, to Pollard rho in Brent's variant.
+    that fails, to Pollard rho in Brent's variant, which raises
+    CapacityError past its work bound _RHO_WORK.
     """
     found = set()
     for p in _SMALL_PRIMES:
@@ -160,13 +182,14 @@ def prime_factors(n):
             while n % p == 0:
                 n //= p
     stack = [n] if n > 1 else []
+    left = [_RHO_WORK]
     while stack:
         m = stack.pop()
         if is_prime(m):
             found.add(m)
             continue
         d = _pollard_pm1(m) or next(
-            d for d in (_brent_rho(m, c) for c in count(1)) if d != m)
+            d for d in (_brent_rho(m, c, left) for c in count(1)) if d != m)
         stack += [d, m // d]
     return sorted(found)
 

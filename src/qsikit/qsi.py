@@ -151,16 +151,6 @@ def simple_subgroup_prefilter(chi, subgroup):
     return all(v == ONE for v in chi.values)
 
 
-def steinberg_kernel_constraint(subgroup, phi, p):
-    """True iff p does not divide |ker(phi)|.
-
-    For the Steinberg character of a group with defining characteristic p,
-    chi(1) is the full p-part of |G| and divides [G : ker(phi)], so any
-    inducing pair must satisfy this.
-    """
-    return kernel(phi).order % p != 0
-
-
 # ---------------------------------------------------------------------------
 # witnesses
 
@@ -196,7 +186,10 @@ def _subgroup_label(subgroup, index):
 def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
                          prefilters, norms, log):
     """Search Irr(U) for a witness; append one log record for U. norms
-    are chi's per-class values times their conjugates."""
+    are chi's per-class values times their conjugates.
+
+    U/ker(phi) is solvable iff ker(phi) holds the last term of U's derived
+    series; the verifier rechecks it on the coset-action quotient."""
     if prefilters:
         if not simple_subgroup_prefilter(chi, subgroup):
             log.append(PruneRecord(subgroup.order, label, "nonabelian-simple"))
@@ -218,11 +211,7 @@ def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
             continue
         if induce(phi, group, fusion) == k * chi:
             phi_kernel = kernel(phi)
-            if subgroup.is_solvable():
-                solvable = True
-            else:
-                solvable = subgroup.quotient(phi_kernel).is_solvable()
-            if solvable:
+            if subgroup.derived_series()[-1].is_subgroup_of(phi_kernel):
                 witness = QsiWitness(
                     subgroup, j, phi, k,
                     subgroup.order // phi_kernel.order)
@@ -268,11 +257,6 @@ def decide_qsi_character(group, chi, bounds=None, *, monomial=False):
     if not complete:
         return QsiVerdict(chi, STATUS_UNDECIDED, None, log)
     return QsiVerdict(chi, STATUS_REFUTED, None, log)
-
-
-def decide_monomial_character(group, chi, bounds=None):
-    """Monomial decision: witnesses restricted to k = 1 and linear phi."""
-    return decide_qsi_character(group, chi, bounds, monomial=True)
 
 
 def decide_qsi_group(group, bounds=None, *, monomial=False):

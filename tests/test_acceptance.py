@@ -19,7 +19,6 @@ from qsikit.qsi import (
     SearchBounds,
     decide_qsi_group,
     group_is_qsi,
-    steinberg_kernel_constraint,
     verify_qsi_witness,
 )
 from qsikit.smallgroups import all_groups
@@ -160,7 +159,6 @@ def test_criterion_06_psp43_witness_and_prefilter_sweep():
         assert induce(phi, group) == 2 * steinberg
         phi_kernel = kernel(phi)
         assert phi_kernel.order % 3 != 0
-        assert steinberg_kernel_constraint(subgroup, phi, 3)
         quotient = subgroup.quotient(phi_kernel)
         assert quotient.is_solvable()
         assert witness.multiplier == 2
@@ -214,7 +212,7 @@ def test_criterion_10_solvability_consistency_sweep():
     with Criterion(10, 120, "QSI certificates match solvability across "
                             "the catalog"):
         bounds = SearchBounds(subgroup_order=200)
-        for group_id in catalog.group_ids():
+        for group_id in sorted(catalog.manifest()["groups"]):
             group = catalog.load(group_id)
             verdicts = decide_qsi_group(group, bounds)
             certified = group_is_qsi(verdicts)

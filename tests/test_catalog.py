@@ -7,7 +7,12 @@ import pytest
 from qsikit import catalog
 from qsikit.errors import IntegrityError, NotFoundError
 from qsikit.lietype import group_order
-from qsikit.perm import format_generator_file, parse_generator_file, PermGroup
+from qsikit.perm import (
+    PermGroup,
+    Permutation,
+    format_generator_file,
+    parse_generator_file,
+)
 
 
 EXPECTED_ORDERS = {
@@ -18,8 +23,7 @@ EXPECTED_ORDERS = {
 
 
 def test_all_entries_load_with_expected_orders():
-    listed = catalog.group_ids()
-    assert sorted(EXPECTED_ORDERS) == listed
+    assert sorted(EXPECTED_ORDERS) == sorted(catalog.manifest()["groups"])
     for group_id, order in EXPECTED_ORDERS.items():
         assert catalog.load(group_id).order == order
 
@@ -79,25 +83,42 @@ def test_unknown_subgroup():
         catalog.load_subgroup("NOPE")
 
 
-def test_ad_hoc_subgroup_datum():
-    parent, sub, _ = catalog.load_subgroup({
-        "parent": "A5",
-        "generators": ["(1,2,3)", "(1,2)(3,4)"],
-        "order": 12,
-    })
-    assert parent.order == 60 and sub.order == 12
-    # a parent registered inside itself works too
-    a5 = catalog.load("A5")
-    _, whole, _ = catalog.load_subgroup({
-        "parent": "A5",
-        "generators": [g.cycle_string() for g in a5.generators],
-        "order": 60,
-    })
-    assert whole.order == 60
-    with pytest.raises(IntegrityError):
-        catalog.load_subgroup({"parent": "A5",
-                               "generators": ["(1,2,3)"],
-                               "order": 12})
+def tampered_fixtures(tmp_path, monkeypatch, tamper):
+    """Point the catalog, with an empty cache, at a copy of the fixtures
+    whose manifest tamper has edited; returns the copy's directory."""
+    import json
+    import shutil
+
+    dst = tmp_path / "fixtures"
+    shutil.copytree(catalog._fixture_root(), dst)
+    manifest = json.loads((dst / "manifest.json").read_text())
+    tamper(manifest)
+    (dst / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setattr(catalog, "_fixture_root", lambda: dst)
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    return dst
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("order", 80, "constructed order 160 != expected 80"),
+    ("file", "moved.gens", "not contained in PSU42"),
+], ids=["wrong-order", "outside-parent"])
+def test_tampered_subgroup_entry_detected(tmp_path, monkeypatch, key, value,
+                                          message):
+    parent, sub, _ = catalog.load_subgroup("PSU42_U160")
+    # a point swap moves U160 to a group of its order outside PSU(4,2)
+    swap = Permutation.from_cycles(parent.degree, [[0, 1]])
+    moved = PermGroup(parent.degree,
+                      [g.conjugated_by(swap) for g in sub.generators])
+    assert moved.order == 160 and not moved.is_subgroup_of(parent)
+
+    def tamper(manifest):
+        manifest["subgroups"]["PSU42_U160"][key] = value
+
+    dst = tampered_fixtures(tmp_path, monkeypatch, tamper)
+    (dst / "moved.gens").write_text(format_generator_file(moved))
+    with pytest.raises(IntegrityError, match=message):
+        catalog.load_subgroup("PSU42_U160")
 
 
 def test_load_file_and_resolve(tmp_path):
@@ -111,19 +132,13 @@ def test_load_file_and_resolve(tmp_path):
         catalog.resolve("does-not-exist")
 
 
-def test_corrupted_fixture_detected(tmp_path):
-    # copy fixtures, then tamper with one expected order
-    import json
-    import shutil
+def test_corrupted_fixture_detected(tmp_path, monkeypatch):
+    def tamper(manifest):
+        manifest["groups"]["A5"]["order"] = 61
 
-    src = catalog._fixture_root()
-    dst = tmp_path / "fixtures"
-    shutil.copytree(src, dst)
-    manifest = json.loads((dst / "manifest.json").read_text())
-    manifest["groups"]["A5"]["order"] = 61
-    (dst / "manifest.json").write_text(json.dumps(manifest))
+    tampered_fixtures(tmp_path, monkeypatch, tamper)
     with pytest.raises(IntegrityError):
-        catalog.load("A5", fixtures_path=dst)
+        catalog.load("A5")
 
 
 def test_fixture_script_rebuilds_the_committed_fixtures(tmp_path, monkeypatch):

@@ -218,13 +218,15 @@ def test_clifford_multiple_on_invariant_constituent():
     v4 = PermGroup(4, [cyc(4, [0, 1], [2, 3]), cyc(4, [0, 2], [1, 3])])
     for normal in (a4, v4):
         n_table = character_table(normal)
+        n_classes = normal.conjugacy_classes()
         invariant = []
         elems = [Permutation(t) for t in group.elements()]
         for chi in n_table.irreducibles:
             stable = True
             for g in elems:
-                moved = [chi.value_at(rep.conjugated_by(g))
-                         for rep in normal.conjugacy_classes().representatives]
+                moved = [chi.values[n_classes.element_to_class[
+                             rep.conjugated_by(g).images]]
+                         for rep in n_classes.representatives]
                 if moved != list(chi.values):
                     stable = False
                     break

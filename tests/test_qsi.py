@@ -20,13 +20,11 @@ from qsikit.primes import prime_factors
 from qsikit.qsi import (
     SearchBounds,
     class_fraction_prefilter,
-    decide_monomial_character,
     decide_qsi_character,
     decide_qsi_group,
     group_is_qsi,
     random_subgroup_sweep,
     simple_subgroup_prefilter,
-    steinberg_kernel_constraint,
     verify_qsi_witness,
 )
 from qsikit.smallgroups import abelian, dihedral
@@ -93,18 +91,6 @@ def test_burnside_gate_passes_only_non_simple_subgroups():
                 assert simple_subgroup_prefilter(chi, sub)
 
 
-def test_steinberg_kernel_constraint():
-    group = catalog.load("S4")
-    table = character_table(group)
-    faithful = table.by_degree(3)[0]
-    for p in (2, 3, 5):
-        assert steinberg_kernel_constraint(group, faithful, p)
-    triv = trivial_character(group)
-    assert not steinberg_kernel_constraint(group, triv, 2)
-    assert not steinberg_kernel_constraint(group, triv, 3)
-    assert steinberg_kernel_constraint(group, triv, 5)
-
-
 # -- decisions
 
 
@@ -145,7 +131,7 @@ def test_linear_characters_monomial_via_whole_group():
     group = dihedral(4)
     table = character_table(group)
     for chi in table.by_degree(1):
-        verdict = decide_monomial_character(group, chi)
+        verdict = decide_qsi_character(group, chi, monomial=True)
         assert verdict.status == "monomial-with-witness"
         assert verdict.witness.subgroup.order == group.order
 
@@ -153,10 +139,12 @@ def test_linear_characters_monomial_via_whole_group():
 def test_psl27_steinberg_characters_monomial():
     group = catalog.load("PSL27")
     table = character_table(group)
-    v7 = decide_monomial_character(group, table.unique_by_degree(7))
+    v7 = decide_qsi_character(group, table.unique_by_degree(7),
+                              monomial=True)
     assert v7.status == "monomial-with-witness"
     assert v7.witness.subgroup.order == 24
-    v8 = decide_monomial_character(group, table.unique_by_degree(8))
+    v8 = decide_qsi_character(group, table.unique_by_degree(8),
+                              monomial=True)
     assert v8.status == "monomial-with-witness"
     assert v8.witness.subgroup.order == 21
 
@@ -201,10 +189,26 @@ def test_k_determinacy_never_searched():
             (group.order // w.subgroup.order) * w.phi.degree
 
 
+def test_derived_series_decides_quotient_solvability():
+    # the search tests U/ker(phi) by U's derived series, the verifier by
+    # the coset-action quotient; S5 has the perfect A5 and non-solvable
+    # S5 among its subgroups, each with characters on both sides
+    group = PermGroup(5, [cyc(5, [0, 1, 2, 3, 4]), cyc(5, [0, 1])])
+    outcomes = set()
+    for sub in group.subgroups_up_to_conjugacy():
+        for phi in character_table(sub).irreducibles:
+            phi_kernel = kernel(phi)
+            solvable = sub.quotient(phi_kernel).is_solvable()
+            assert sub.derived_series()[-1].is_subgroup_of(phi_kernel) \
+                == solvable
+            outcomes.add((sub.is_solvable(), solvable))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
 def test_witness_reverification_independent_path():
     group = catalog.load("PSL27")
     chi7 = character_table(group).unique_by_degree(7)
-    verdict = decide_monomial_character(group, chi7)
+    verdict = decide_qsi_character(group, chi7, monomial=True)
     assert verify_qsi_witness(group, chi7, verdict.witness)
 
 
@@ -226,7 +230,7 @@ def test_conjugate_subgroups_induce_identical_characters():
             for rep_index, rep in enumerate(
                     sub.conjugacy_classes().representatives):
                 moved = rep.conjugated_by(g)
-                moved_values[c_classes.class_of(moved)] = \
+                moved_values[c_classes.element_to_class[moved.images]] = \
                     phi.values[rep_index]
             phi_conj = Character(
                 conjugated,
@@ -267,7 +271,7 @@ def test_descent_to_intersection_with_normal_subgroup():
     a4 = PermGroup(4, [cyc(4, [0, 1, 2]), cyc(4, [0, 1], [2, 3])])
     table = character_table(group)
     chi3 = table.by_degree(3)[0]
-    verdict = decide_monomial_character(group, chi3)
+    verdict = decide_qsi_character(group, chi3, monomial=True)
     assert verdict.has_witness
     witness_sub = verdict.witness.subgroup
     restricted = restrict(chi3, a4)
