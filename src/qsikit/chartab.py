@@ -6,19 +6,29 @@ over a prime field F_l (l = 1 mod exp(G), l > 2*sqrt(|G|)) are the
 normalized irreducible characters; eigenvalue multiplicities of powers
 lift each character value back to an exact cyclotomic integer.
 
+Following Schneider's restriction of the method, a class matrix is only
+built when it splits a common eigenspace. Before building it, each
+still-unsplit space is probed through its pivot rows: over an echelonized
+basis those rows give the coordinates of every image, and by the
+identity a_ijl |C_l| = a_i'lj |C_j| (i' the inverse class) row j of
+class matrix i is column j of class matrix i', rescaled. The probe thus
+reads one column per unsplit dimension instead of all k, and a class
+that acts as a scalar on every unsplit space is skipped.
+
 All downstream operations (inner products, induction, restriction,
 kernels) are exact; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 from operator import itemgetter
 
 from .cyclotomic import Cyclotomic, ONE, ZERO
 from .errors import DomainError, IntegrityError
-from .perm import _compose, _invert
+from .perm import _invert
 from .primes import is_prime, primitive_root
 
 
@@ -252,18 +262,56 @@ def _modulus_for(group, exponent, class_count):
         candidate += exponent
 
 
-def _class_matrix(classes, i):
-    """Matrix A with A[j][l] = #{x in C_i : x^-1 z_l in C_j}, mod nothing."""
+def _class_column(classes, i, l, inverse_class):
+    """Column l of class matrix i, as {j: #{x in C_i : x^-1 z_l in C_j}}.
+
+    x^-1 z_l is the inverse of z_l^-1 x, so its class is the inverse
+    class of z_l^-1 x: one getter for z_l^-1, mapped over C_i.
+    """
+    # k > 1, so the degree is at least 2 and the getter returns a tuple
+    getter = itemgetter(*_invert(classes.representatives[l].images))
+    counts = Counter(map(classes.element_to_class.__getitem__,
+                         map(getter, classes.class_elements[i])))
+    return {inverse_class[j]: count for j, count in counts.items()}
+
+
+def _class_matrix(classes, i, inverse_class):
+    """Matrix A with A[j][l] = #{x in C_i : x^-1 z_l in C_j}, as exact
+    integer counts (not reduced mod p)."""
     k = len(classes)
     matrix = [[0] * k for _ in range(k)]
-    lookup = classes.element_to_class
-    inverses = [_invert(x) for x in classes.class_elements[i]]
     for l in range(k):
-        z = classes.representatives[l].images
-        for xi in inverses:
-            j = lookup[_compose(xi, z)]
-            matrix[j][l] += 1
+        for j, count in _class_column(classes, i, l, inverse_class).items():
+            matrix[j][l] = count
     return matrix
+
+
+def _acts_as_scalar(classes, i, spaces, inverse_class, p):
+    """Whether class matrix i acts as a scalar on every unsplit space.
+
+    An echelonized basis has the coordinates of a vector at its pivots,
+    so only the pivot rows of the matrix are needed. Row j of matrix i is
+    column j of matrix i' (i' the inverse class), rescaled:
+    a_ijl * |C_l| = a_i'lj * |C_j|.
+    """
+    sizes = classes.sizes
+    for basis, pivots in spaces:
+        if len(basis) == 1:
+            continue
+        scalar = None
+        for r, j in enumerate(pivots):
+            row = _class_column(classes, inverse_class[i], j, inverse_class)
+            for c, vec in enumerate(basis):
+                entry = sum(count * sizes[j] // sizes[l] * vec[l]
+                            for l, count in row.items()) % p
+                if r != c:
+                    if entry:
+                        return False
+                elif scalar is None:
+                    scalar = entry
+                elif entry != scalar:
+                    return False
+    return True
 
 
 def character_table(group):
@@ -272,29 +320,45 @@ def character_table(group):
         return group._cache["character_table"]
     classes = group.conjugacy_classes()
     k = len(classes)
-    order = group.order
 
     if k == 1:
         table = CharacterTable(group, [Character(group, [ONE])])
         group._cache["character_table"] = table
         return table
 
-    exponent = 1
-    for m in classes.rep_orders:
-        exponent = exponent * m // gcd(exponent, m)
-    p = _modulus_for(group, exponent, k)
+    p = _modulus_for(group, lcm(*classes.rep_orders), k)
+    inverse_class = [classes.element_to_class[_invert(rep.images)]
+                     for rep in classes.representatives]
 
     # split the common eigenspaces of the class matrices, smallest class
-    # first (its matrix is cheapest to build)
+    # first (its matrix is cheapest to build). A class whose matrix acts
+    # as a scalar on every unsplit space would split nothing, so its
+    # matrix is not built; the probe reads one column per unsplit
+    # dimension, so it only pays while those total less than k
     spaces = [([tuple(1 if i == j else 0 for j in range(k))
                 for i in range(k)], list(range(k)))]
     class_order = sorted(range(1, k), key=lambda i: (classes.sizes[i], i))
     for i in class_order:
-        if all(len(basis) == 1 for basis, _ in spaces):
+        unsplit = sum(len(basis) for basis, _ in spaces if len(basis) > 1)
+        if not unsplit:
             break
+        if unsplit < k and _acts_as_scalar(classes, i, spaces,
+                                           inverse_class, p):
+            continue
         matrix = [[a % p for a in row]
-                  for row in _class_matrix(classes, i)]
+                  for row in _class_matrix(classes, i, inverse_class)]
         spaces = _split_by_eigenspaces(spaces, matrix, p)
+    table = _table_from_spaces(group, spaces, p, inverse_class)
+    group._cache["character_table"] = table
+    return table
+
+
+def _table_from_spaces(group, spaces, p, inverse_class):
+    """The table whose irreducibles are the one-dimensional common
+    eigenspaces, each lifted to exact cyclotomic values."""
+    classes = group.conjugacy_classes()
+    k = len(classes)
+    order = group.order
     if not all(len(basis) == 1 for basis, _ in spaces):
         raise IntegrityError("class matrices failed to separate characters")
 
@@ -305,9 +369,6 @@ def character_table(group):
             raise IntegrityError("eigenvector vanishes on the identity class")
         scale = pow(vec[0], -1, p)
         omegas.append(tuple((a * scale) % p for a in vec))
-
-    inverse_class = [classes.element_to_class[_invert(rep.images)]
-                     for rep in classes.representatives]
 
     irreducibles = []
     z = primitive_root(p)
@@ -348,10 +409,7 @@ def character_table(group):
             values.append(Cyclotomic.from_exponent_map(
                 m, dict(enumerate(multiplicities))))
         irreducibles.append(Character(group, values))
-
-    table = CharacterTable(group, irreducibles)
-    group._cache["character_table"] = table
-    return table
+    return CharacterTable(group, irreducibles)
 
 
 def _split_by_eigenspaces(spaces, matrix, p):

@@ -1,6 +1,8 @@
+from math import lcm
+
 import pytest
 
-from qsikit import catalog
+from qsikit import catalog, chartab
 from qsikit.chartab import (
     Character,
     character_table,
@@ -15,7 +17,7 @@ from qsikit.chartab import (
 )
 from qsikit.cyclotomic import Cyclotomic, ONE, ZERO
 from qsikit.errors import DomainError, IntegrityError
-from qsikit.perm import PermGroup, Permutation
+from qsikit.perm import PermGroup, Permutation, _compose, _invert
 
 
 def cyc(n, *cycles):
@@ -107,6 +109,103 @@ def test_table_determinism():
         [cyc(5, [0, 1, 2, 3, 4]), cyc(5, [0, 1, 2])]))
     assert [[v for v in chi.values] for chi in t1.irreducibles] == \
         [[v for v in chi.values] for chi in t2.irreducibles]
+
+
+# -- class matrices and the scalar probe
+
+
+def reference_class_matrix(classes, i):
+    """A[j][l] = #{x in C_i : x^-1 z_l in C_j}, one product per (x, l)."""
+    k = len(classes)
+    matrix = [[0] * k for _ in range(k)]
+    for x in classes.class_elements[i]:
+        x_inverse = _invert(x)
+        for l, rep in enumerate(classes.representatives):
+            j = classes.element_to_class[_compose(x_inverse, rep.images)]
+            matrix[j][l] += 1
+    return matrix
+
+
+def inverse_classes(classes):
+    return [classes.element_to_class[_invert(rep.images)]
+            for rep in classes.representatives]
+
+
+def reference_table(group):
+    """Dixon's loop with no probe: every class matrix is built in full,
+    smallest class first, until the common eigenspaces split."""
+    classes = group.conjugacy_classes()
+    k = len(classes)
+    p = chartab._modulus_for(group, lcm(*classes.rep_orders), k)
+    spaces = [([tuple(1 if i == j else 0 for j in range(k))
+                for i in range(k)], list(range(k)))]
+    for i in sorted(range(1, k), key=lambda i: (classes.sizes[i], i)):
+        if all(len(basis) == 1 for basis, _ in spaces):
+            break
+        matrix = [[a % p for a in row]
+                  for row in reference_class_matrix(classes, i)]
+        spaces = chartab._split_by_eigenspaces(spaces, matrix, p)
+    return chartab._table_from_spaces(group, spaces, p,
+                                      inverse_classes(classes))
+
+
+def test_table_matches_full_matrix_reference():
+    from test_perm import random_small_groups
+
+    groups = [catalog.load(group_id)
+              for group_id in ("A5", "S4", "SL23", "PSL27", "A6", "PSL211",
+                               "A7", "M11")]
+    for group in groups + random_small_groups():
+        assert character_table(group).to_json() == \
+            reference_table(group).to_json()
+
+
+@pytest.mark.parametrize("group_id", ["C3", "SL23", "PSL27", "A5", "M11"])
+def test_class_coefficients_transpose_through_inverse_class(group_id):
+    # a_ijl * |C_l| = a_i'lj * |C_j|, the identity that lets the probe
+    # read a row of matrix i as a column of matrix i'
+    group = c3() if group_id == "C3" else catalog.load(group_id)
+    classes = group.conjugacy_classes()
+    k = len(classes)
+    sizes = classes.sizes
+    inverse_class = inverse_classes(classes)
+    # only A5 has every class real; PSL27's 7A and 7B are not
+    assert (inverse_class == list(range(k))) == (group_id == "A5")
+    a = [reference_class_matrix(classes, i) for i in range(k)]
+    for i in range(k):
+        assert chartab._class_matrix(classes, i, inverse_class) == a[i]
+        for j in range(k):
+            for l in range(k):
+                assert a[i][j][l] * sizes[l] == \
+                    a[inverse_class[i]][l][j] * sizes[j]
+
+
+def test_class_matrices_built_only_when_they_split(monkeypatch):
+    matrices = []
+    lookups = []
+    column_ = chartab._class_column
+    matrix_ = chartab._class_matrix
+
+    def counting_column(classes, i, l, inverse_class):
+        lookups.append(classes.sizes[i])
+        return column_(classes, i, l, inverse_class)
+
+    def counting_matrix(classes, i, inverse_class):
+        matrices.append(i)
+        return matrix_(classes, i, inverse_class)
+
+    monkeypatch.setattr(chartab, "_class_column", counting_column)
+    monkeypatch.setattr(chartab, "_class_matrix", counting_matrix)
+    # building every matrix until the split took 11 matrices and 194 866
+    # class-element lookups on A8, 6 and 40 250 on M11
+    for group_id, max_matrices, max_lookups in (("A8", 4, 93334),
+                                                 ("M11", 3, 25640)):
+        matrices.clear()
+        lookups.clear()
+        source = catalog.load(group_id)
+        character_table(PermGroup(source.degree, source.generators))
+        assert len(matrices) <= max_matrices
+        assert sum(lookups) <= max_lookups
 
 
 # -- inner products
