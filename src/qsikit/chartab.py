@@ -527,7 +527,8 @@ def induce_pointwise(phi, group):
     means x^y is not in U. The sum still runs over every element of G
     and reads no fusion, so it stays independent of `induce`. One pass
     over G serves every class: for each y, x^y = y^-1 x y is "x then y"
-    read back through y^-1, one getter call each.
+    read back through y^-1, one getter call each. G is walked through
+    its element-to-class map, so it is never sorted.
     """
     subgroup = phi.group
     if not subgroup.is_subgroup_of(group):
@@ -545,7 +546,7 @@ def induce_pointwise(phi, group):
     # returns a tuple
     reps = [itemgetter(*rep.images) for rep in g_classes.representatives]
     class_hits = [{} for _ in reps]
-    for y in group.elements():
+    for y in g_classes.element_to_class:
         back = itemgetter(*_invert(y))
         for rep, hits in zip(reps, class_hits):
             index = lookup(back(rep(y)))

@@ -65,6 +65,12 @@ def _conjugate(t, g):
     return tuple(out)
 
 
+def _conjugation_moves(perms):
+    """(g, back_g) per image tuple g of perms, back_g the getter of g^-1:
+    x^g = g^-1 x g is ``back_g(itemgetter(*x)(g))``."""
+    return [(p.images, itemgetter(*_invert(p.images))) for p in perms]
+
+
 class Permutation:
     """A bijection of {0..n-1}, stored as its image tuple."""
 
@@ -503,7 +509,8 @@ def _certifies_order_above(degree, gens, order_cap):
 class ConjugacyClassSet:
     """Conjugacy classes of a fully enumerated group.
 
-    Classes are sorted by (element order, class size, lexicographic
+    Each class is sorted, so its representative, the first member, is
+    lex-min. Classes are sorted by (element order, class size,
     representative); the identity class is therefore always first.
 
     Two lookups for conjugacy tests are built on first use only, so a
@@ -540,22 +547,20 @@ class ConjugacyClassSet:
         the representative, using t_(y^g) = t_y g.
         """
         if self._conjugators is None:
-            gens = [g.images for g in self.group.generators]
+            moves = _conjugation_moves(self.group.generators)
             identity = tuple(range(self.group.degree))
             table = {}
             for rep in self.representatives:
                 table[rep.images] = identity
-                frontier = [rep.images]
-                while frontier:
-                    found = []
-                    for y in frontier:
-                        ty = table[y]
-                        for g in gens:
-                            w = _conjugate(y, g)
-                            if w not in table:
-                                table[w] = _compose(ty, g)
-                                found.append(w)
-                    frontier = found
+                walk = [rep.images]
+                for y in walk:  # reaches what it appends: breadth first
+                    ty = table[y]
+                    then = itemgetter(*y)
+                    for g, back in moves:
+                        w = back(then(g))
+                        if w not in table:
+                            table[w] = _compose(ty, g)
+                            walk.append(w)
             self._conjugators = table
         return self._conjugators[z]
 
@@ -739,51 +744,47 @@ class PermGroup:
     # -- conjugacy classes
 
     def conjugacy_classes(self, bound=ELEMENT_ENUMERATION_BOUND):
+        """Orbits of conjugation by the generators over the enumeration
+        at hand: the cached ``elements()``, else the unsorted transversal
+        product, so G is sorted only for ``elements()``. A repeat in the
+        enumeration fails the class-size sum."""
         if "classes" in self._cache:
             return self._cache["classes"]
         if self.order > bound:
             raise CapacityError(
                 f"group order {self.order} exceeds the element enumeration "
                 f"bound {bound} for conjugacy classes", bound=bound)
-        elems = self.elements(bound)
-        gen_images = [g.images for g in self.generators]
-        assigned = {}
+        elems = self._cache.get("elements")
+        if elems is None:
+            elems = self._transversal_product()
+        moves = _conjugation_moves(self.generators)
+        unassigned = set(elems)
         raw_classes = []
         for e in elems:
-            if e in assigned:
+            if e not in unassigned:
                 continue
-            index = len(raw_classes)
+            unassigned.remove(e)
             members = [e]
-            assigned[e] = index
-            frontier = [e]
-            while frontier:
-                x = frontier.pop()
-                for g in gen_images:
-                    y = _conjugate(x, g)
-                    if y not in assigned:
-                        assigned[y] = index
+            for x in members:  # breadth first, as in conjugator
+                then = itemgetter(*x)
+                for g, back in moves:
+                    y = back(then(g))
+                    if y in unassigned:
+                        unassigned.remove(y)
                         members.append(y)
-                        frontier.append(y)
+            members.sort()
             raw_classes.append(members)
-        # elems is sorted, so the first member found is the lex-min rep
-        def sort_key(members):
-            rep = members[0]
-            return (Permutation(rep).order(), len(members), rep)
-
-        raw_classes.sort(key=sort_key)
+        del unassigned, elems  # before element_to_class holds G again
+        raw_classes.sort(key=lambda members: (
+            Permutation(members[0]).order(), len(members), members[0]))
         element_to_class = {}
-        class_elements = []
-        reps = []
-        sizes = []
         for index, members in enumerate(raw_classes):
-            reps.append(Permutation(members[0]))
-            sizes.append(len(members))
-            class_elements.append(tuple(sorted(members)))
-            for e in members:
-                element_to_class[e] = index
-        result = ConjugacyClassSet(self, tuple(reps), tuple(sizes),
-                                   element_to_class, tuple(class_elements))
-        if sum(sizes) != self.order:
+            element_to_class.update(dict.fromkeys(members, index))
+        result = ConjugacyClassSet(
+            self, tuple(Permutation(members[0]) for members in raw_classes),
+            tuple(map(len, raw_classes)), element_to_class,
+            tuple(map(tuple, raw_classes)))
+        if sum(result.sizes) != self.order:
             raise IntegrityError("class sizes do not sum to the group order")
         self._cache["classes"] = result
         return result
@@ -1065,11 +1066,9 @@ class PermGroup:
             # u y for y a coset representative; degree > 1 here, so each
             # getter returns a tuple
             lefts = [itemgetter(*u) for u in base_elems]
-            # with U's generators these generate N_G(U); x^n is
-            # (x then n) with n^-1 before it
-            conjugators = [
-                (itemgetter(*_invert(n.images)), n.images)
-                for n in self.normalizer(base).generators[len(base_gens):]]
+            # with U's generators these generate N_G(U)
+            conjugators = _conjugation_moves(
+                self.normalizer(base).generators[len(base_gens):])
             seen = set(base_elems)
             for e in elems:
                 if e in seen:
@@ -1100,8 +1099,8 @@ class PermGroup:
 
 def _coset_neighbours(y, gens, conjugators):
     """Representatives of the right cosets next to U y in the lattice's
-    orbit walk: y g for each generator g of U, and y^n for each pair
-    (getter of n^-1, n) of an extra generator n of N_G(U)."""
+    orbit walk: y g for each generator g of U, and y^n for each move
+    (n, getter of n^-1) of an extra generator n of N_G(U)."""
     then = itemgetter(*y)
     return ([then(g) for g in gens]
-            + [before(then(n)) for before, n in conjugators])
+            + [back(then(n)) for n, back in conjugators])

@@ -2,7 +2,7 @@ from math import lcm
 
 import pytest
 
-from qsikit import catalog, chartab
+from qsikit import catalog, chartab, perm
 from qsikit.chartab import (
     Character,
     character_table,
@@ -267,6 +267,27 @@ def test_induce_matches_pointwise_formula():
         for sub in subgroups:
             for phi in character_table(sub).irreducibles:
                 assert induce(phi, group) == induce_pointwise(phi, group)
+
+
+def test_induce_pointwise_leaves_the_group_unsorted():
+    parent, sub, _ = catalog.load_subgroup("PSU42_U160")
+    group = PermGroup(parent.degree, parent.generators)
+    phi = character_table(sub).irreducibles[-1]
+    assert induce_pointwise(phi, group) == induce(phi, group)
+    assert "elements" not in group._cache
+
+
+def test_table_never_sorts_the_group(monkeypatch):
+    source = catalog.load("A8")
+    group = PermGroup(source.degree, source.generators)
+
+    def forbidden(*args):
+        raise AssertionError("the table sorted G or called _conjugate")
+
+    monkeypatch.setattr(PermGroup, "elements", forbidden)
+    monkeypatch.setattr(perm, "_conjugate", forbidden)
+    assert max(character_table(group).degrees) == 70
+    assert "elements" not in group._cache
 
 
 def test_induction_transitive_in_chain():

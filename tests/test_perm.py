@@ -5,9 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from qsikit.errors import CapacityError, DomainError, MalformedInputError
+from qsikit.errors import (
+    CapacityError,
+    DomainError,
+    IntegrityError,
+    MalformedInputError,
+)
 from qsikit.perm import (
     ELEMENT_ENUMERATION_BOUND,
+    ConjugacyClassSet,
     PermGroup,
     Permutation,
     _OrderCapExceeded,
@@ -355,6 +361,87 @@ def test_class_determinism_under_generator_order():
     c2 = g2.conjugacy_classes()
     assert [r.images for r in c1.representatives] == \
         [r.images for r in c2.representatives]
+
+
+def reference_conjugacy_classes(group):
+    """Classes by the former method: sort G, then walk it, closing each
+    unassigned element's class under ``_conjugate`` by the generators;
+    the first member found is then the lex-min representative."""
+    elems = group.elements()
+    gen_images = [g.images for g in group.generators]
+    assigned = {}
+    raw_classes = []
+    for e in elems:
+        if e in assigned:
+            continue
+        index = len(raw_classes)
+        members = [e]
+        assigned[e] = index
+        frontier = [e]
+        while frontier:
+            x = frontier.pop()
+            for g in gen_images:
+                y = _conjugate(x, g)
+                if y not in assigned:
+                    assigned[y] = index
+                    members.append(y)
+                    frontier.append(y)
+        raw_classes.append(members)
+
+    def sort_key(members):
+        rep = members[0]
+        return (Permutation(rep).order(), len(members), rep)
+
+    raw_classes.sort(key=sort_key)
+    element_to_class = {}
+    class_elements = []
+    reps = []
+    sizes = []
+    for index, members in enumerate(raw_classes):
+        reps.append(Permutation(members[0]))
+        sizes.append(len(members))
+        class_elements.append(tuple(sorted(members)))
+        for e in members:
+            element_to_class[e] = index
+    return ConjugacyClassSet(group, tuple(reps), tuple(sizes),
+                             element_to_class, tuple(class_elements))
+
+
+def uncached(group):
+    """A copy of group with nothing cached."""
+    return PermGroup(group.degree, group.generators)
+
+
+def test_classes_match_reference():
+    from qsikit import catalog
+
+    groups = [catalog.load(group_id)
+              for group_id in ("A5", "S4", "SL23", "PSL27", "A6", "PSL211",
+                               "A7", "M11", "A8", "PSU42")]
+    for group in groups + random_small_groups():
+        unsorted = uncached(group)
+        sorted_first = uncached(group)
+        sorted_first.elements()
+        expected = reference_conjugacy_classes(sorted_first)
+        # from the transversal product, and from the cached elements()
+        for classes in (unsorted.conjugacy_classes(),
+                        sorted_first.conjugacy_classes()):
+            assert [r.images for r in classes.representatives] == \
+                [r.images for r in expected.representatives]
+            assert classes.sizes == expected.sizes
+            assert classes.class_elements == expected.class_elements
+            assert classes.element_to_class == expected.element_to_class
+        assert "elements" not in unsorted._cache
+
+
+def test_classes_reject_an_enumeration_with_a_repeat(monkeypatch):
+    group = uncached(m11())
+    elems = group._transversal_product()
+    # every other element stays, so each class is still reached
+    broken = elems[:-1] + elems[:1]
+    monkeypatch.setattr(group, "_transversal_product", lambda: broken)
+    with pytest.raises(IntegrityError):
+        group.conjugacy_classes()
 
 
 def test_identity_class_first():
