@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt, lcm
 from operator import itemgetter
 
 from .cyclotomic import Cyclotomic, ONE, ZERO
 from .errors import DomainError, IntegrityError
-from .perm import _invert
+from .perm import _compose, _invert
 from .primes import is_prime, primitive_root
 
 
@@ -517,47 +518,47 @@ def induce(phi, group, fusion=None):
 
 
 def induce_pointwise(phi, group):
-    """Induced character by the raw averaging formula, summing over every
-    group element. Slow; used as an independent check of `induce`.
+    """Induced character by the transversal formula, an independent check
+    of `induce`: it reads no fusion and no classwise formula.
 
-    For U = G the sum collapses exactly: phi(x^y) ranges over the class
-    of x, each value hit |C_G(x)| times, so the average is phi(x).
-    Otherwise each conjugate x^y is looked up in U's element-to-class
-    map, which holds every element of U: a hit gives its U-class, a miss
-    means x^y is not in U. The sum still runs over every element of G
-    and reads no fusion, so it stays independent of `induce`. One pass
-    over G serves every class: for each y, x^y = y^-1 x y is "x then y"
-    read back through y^-1, one getter call each. G is walked through
-    its element-to-class map, so it is never sorted.
+    With T a left transversal of U in G (G is the disjoint union of the
+    cosets tU) and phi° equal to phi on U and 0 off it, phi^G(x) is the
+    sum of phi°(x^t) over t in T (Isaacs, Character Theory, (5.1)-(5.2)):
+    x^(tu) = (x^t)^u lies in U exactly when x^t does, and in the same
+    U-class. T holds the least element of each coset, found by a walk of
+    G's generators acting on the cosets from the left, so it keeps |T|
+    tuples and never a set the size of G; |T| |U| = |G| is checked.
+    Each x^t is looked up in U's element-to-class map, which holds every
+    element of U: a miss means x^t is not in U.
     """
     subgroup = phi.group
     if not subgroup.is_subgroup_of(group):
         raise DomainError("induction requires a subgroup")
     g_classes = group.conjugacy_classes()
-    if subgroup.order == group.order:
-        fusion = class_fusion(subgroup, group)
-        values = [None] * len(g_classes)
-        for s_index, g_index in enumerate(fusion):
-            values[g_index] = phi.values[s_index]
-        return Character(group, values)
-    s_classes = subgroup.conjugacy_classes()
-    lookup = s_classes.element_to_class.get
-    # U is proper, so |G| > 1 and the degree is at least 2: each getter
-    # returns a tuple
-    reps = [itemgetter(*rep.images) for rep in g_classes.representatives]
-    class_hits = [{} for _ in reps]
-    for y in g_classes.element_to_class:
-        back = itemgetter(*_invert(y))
-        for rep, hits in zip(reps, class_hits):
-            index = lookup(back(rep(y)))
-            if index is not None:
-                hits[index] = hits.get(index, 0) + 1
+    s_lookup = subgroup.conjugacy_classes().element_to_class
+    # the identity is the least element of U
+    transversal = [tuple(range(group.degree))]
+    found = set(transversal)
+    for t in transversal:  # reaches what it appends
+        for g in group.generators:
+            least = min(map(_compose, repeat(_compose(g.images, t)),
+                            s_lookup))
+            if least not in found:
+                found.add(least)
+                transversal.append(least)
+    if len(transversal) * subgroup.order != group.order:
+        raise IntegrityError("coset transversal size check failed")
+    moves = [(t, _invert(t)) for t in transversal]
     values = []
-    for hits in class_hits:
+    for rep in g_classes.representatives:
+        x = rep.images
+        hits = Counter(s_lookup.get(_compose(_compose(t_inv, x), t))
+                       for t, t_inv in moves)
+        hits.pop(None, None)  # the x^t outside U
         total = ZERO
         for index, count in sorted(hits.items()):
             total = total + phi.values[index] * count
-        values.append(total / subgroup.order)
+        values.append(total)
     return Character(group, values)
 
 

@@ -184,6 +184,17 @@ def _cmd_verify_paper(args):
 # argument parsing
 
 
+def _non_negative(text):
+    """The argparse type of the bound flags: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qsikit",
@@ -195,11 +206,11 @@ def build_parser():
         p.add_argument("--json", action="store_true",
                        help="emit a JSON envelope instead of text")
         if element_flag:
-            p.add_argument("--max-elements", type=int,
+            p.add_argument("--max-elements", type=_non_negative,
                            default=ELEMENT_ENUMERATION_BOUND,
                            help="element enumeration bound")
         if group_flags:
-            p.add_argument("--max-group-order", type=int,
+            p.add_argument("--max-group-order", type=_non_negative,
                            default=SUBGROUP_ENUMERATION_BOUND,
                            help="subgroup enumeration bound")
             p.add_argument("--no-prefilters", action="store_true",

@@ -7,9 +7,12 @@ valid partial chain, so a point stabilizer keeps the lower levels of a
 chain based at its point, and a subgroup grown from a known one (normal
 closures, lattice candidates) continues its parent's chain. Everything
 here is exact and, for a fixed input, reproducible. The one randomized
-algorithm, the lower-bound certificate of ``from_generators_bounded``,
-draws from a private fixed-seed generator and can only answer "order
-above the cap"; every group that is built comes from the deterministic
+algorithm, a random Schreier-Sims chain drawing from a private
+fixed-seed generator, only gives a lower bound b on an order. A b above
+a cap shows that a group is too large for ``from_generators_bounded``;
+a b equal to the order of a subgroup that ``DistinctSubgroups`` built
+before, into which the generators sift, shows that the group is that
+subgroup. Every group that is built comes from the deterministic
 Schreier-Sims.
 
 Composition convention: ``(p * q)(i) == q(p(i))``, i.e. p acts first.
@@ -22,6 +25,7 @@ class enumeration, class matrices) spends its time on.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import re
@@ -408,6 +412,10 @@ _CERTIFICATE_SEED = 20261018
 _CERTIFICATE_SIFTS = 10
 
 
+# what ``_sift`` reads of a level
+_SiftLevel = collections.namedtuple("_SiftLevel", ("beta", "inverses"))
+
+
 class _LeanLevel:
     """A level of the order certificate's partial chain: what ``_sift``
     reads (the base point and one inverse transversal element per orbit
@@ -461,10 +469,10 @@ def _product_replacement(gens, rng):
         yield accumulator
 
 
-def _certifies_order_above(degree, gens, order_cap):
-    """True when a random Schreier-Sims chain of the group generated by
-    gens (non-identity image tuples) shows that its order exceeds
-    order_cap; False when the certificate gives up.
+def _order_lower_bound(degree, gens, order_cap):
+    """A lower bound b on the order of the group generated by gens
+    (non-identity image tuples), from a random Schreier-Sims chain that
+    stops growing once b exceeds order_cap.
 
     The generators are sifted first, then product replacement elements
     drawn from a private fixed-seed generator. A residue that is not the
@@ -473,14 +481,13 @@ def _certifies_order_above(degree, gens, order_cap):
     sift to an earlier level grow that level's orbit themselves. Each
     level's generators are words in gens that fix the earlier base
     points, so each partial orbit lies inside the group's basic orbit,
-    and the product of the orbit lengths is a lower bound on the order.
-    The certificate gives up after _CERTIFICATE_SIFTS consecutive sifts
-    to the identity.
+    and b, the product of the orbit lengths, never exceeds the order.
+    The chain gives up after _CERTIFICATE_SIFTS consecutive sifts to the
+    identity, and b is then usually, not always, the order itself.
     """
-    if order_cap < 1:  # the empty chain shows order >= 1
-        return True
-    if not gens:
-        return False
+    bound = 1  # the empty chain
+    if not gens or bound > order_cap:
+        return bound
     identity = tuple(range(degree))
     levels = []
     misses = 0
@@ -490,7 +497,7 @@ def _certifies_order_above(degree, gens, order_cap):
         if residue == identity:
             misses += 1
             if misses == _CERTIFICATE_SIFTS:
-                return False
+                return bound
             continue
         misses = 0
         # the residue fixes the base points before level i
@@ -498,8 +505,9 @@ def _certifies_order_above(degree, gens, order_cap):
             beta = next(a for a, b in enumerate(residue) if a != b)
             levels.append(_LeanLevel(beta, identity))
         levels[i].add_generator(residue, _invert(residue))
-        if prod(len(level.inverses) for level in levels) > order_cap:
-            return True
+        bound = prod(len(level.inverses) for level in levels)
+        if bound > order_cap:
+            return bound
 
 
 # ---------------------------------------------------------------------------
@@ -627,27 +635,20 @@ class PermGroup:
         The generators are validated first, as by the constructor. Then
         two stages run, each exact:
 
-        1. A random Schreier-Sims certificate (``_certifies_order_above``)
-           sifts the generators and a fixed-seed stream of product
-           replacement elements through a partial chain. Its strong
-           generators are words in the inputs, so each partial orbit lies
-           inside the true basic orbit and the product of orbit lengths
-           is a lower bound on the order: once it exceeds order_cap the
-           answer is None, and a false None cannot occur. It gives up
-           after a fixed run of sifts to the identity.
+        1. A random Schreier-Sims chain (``_order_lower_bound``) sifts
+           the generators and a fixed-seed stream of product replacement
+           elements. Its strong generators are words in the inputs, so
+           each partial orbit lies inside the true basic orbit and the
+           product of orbit lengths is a lower bound b on the order:
+           b > order_cap means None, and a false None cannot occur. The
+           chain gives up after a fixed run of sifts to the identity.
         2. Otherwise the deterministic capped build runs, and returns
            None once its partial chain (a chain of a subgroup of the
            target) exceeds order_cap. So every group returned is the
-           deterministic build's, whatever the certificate did.
+           deterministic build's, whatever the random chain did.
         """
-        gens = _validated_generators(degree, generators)
-        if _certifies_order_above(degree, [g.images for g in gens],
-                                  order_cap):
-            return None
-        try:
-            return cls(degree, gens, _order_cap=order_cap)
-        except _OrderCapExceeded:
-            return None
+        # nothing is remembered yet, so the answer is never False
+        return DistinctSubgroups(degree, order_cap).generated(generators)
 
     @classmethod
     def from_generators(cls, generators, degree=None):
@@ -1095,6 +1096,57 @@ class PermGroup:
         result = [sub for sub, _ in ranked]
         self._cache["subgroup_classes"] = result
         return result
+
+
+class DistinctSubgroups:
+    """Subgroups generated by a stream of generator sets, each distinct
+    one built once.
+
+    If the generators sift to the identity through a remembered subgroup
+    K whose order is the random chain's lower bound b, the group they
+    generate lies in K and has order at least b = |K|, so it is K. Only
+    what ``_sift`` reads is remembered: base points and inverse
+    transversals, as bytes where the degree allows.
+    """
+
+    __slots__ = ("degree", "order_cap", "_chains")
+
+    def __init__(self, degree, order_cap):
+        self.degree = degree
+        self.order_cap = order_cap
+        self._chains = {}  # order -> chains of the subgroups of it built
+
+    def generated(self, generators):
+        """As ``from_generators_bounded``, but False for a subgroup that
+        an earlier call returned."""
+        gens = _validated_generators(self.degree, generators)
+        images = [g.images for g in gens]
+        bound = _order_lower_bound(self.degree, images, self.order_cap)
+        if bound > self.order_cap:
+            return None
+        if self._known(bound, images):
+            return False
+        try:
+            group = PermGroup(self.degree, gens, _order_cap=self.order_cap)
+        except _OrderCapExceeded:
+            return None
+        # a bound below the order may hide a subgroup built before
+        if group.order != bound and self._known(group.order, images):
+            return False
+        # bytes hold a point below 256 in one byte, a tuple in eight
+        pack = bytes if self.degree <= 256 else tuple
+        self._chains.setdefault(group.order, []).append(
+            [_SiftLevel(level.beta, {a: pack(inverse) for a, inverse
+                                     in level.inverses.items()})
+             for level in group._levels])
+        return group
+
+    def _known(self, order, images):
+        """Whether the images all sift to the identity through one
+        remembered subgroup of this order."""
+        identity = tuple(range(self.degree))
+        return any(all(_sift(chain, t)[0] == identity for t in images)
+                   for chain in self._chains.get(order, ()))
 
 
 def _coset_neighbours(y, gens, conjugators):

@@ -35,7 +35,7 @@ from .chartab import (
 )
 from .cyclotomic import Cyclotomic, ONE
 from .errors import DomainError, IntegrityError
-from .perm import SUBGROUP_ENUMERATION_BOUND, PermGroup
+from .perm import SUBGROUP_ENUMERATION_BOUND, DistinctSubgroups, PermGroup
 from .primes import prime_factors
 
 STATUS_QSI = "QSI-with-witness"
@@ -312,7 +312,10 @@ def random_subgroup_sweep(group, chi, *, samples=10000, seed=0,
     kernel, so p dividing |U'| is conclusive for all of Irr(U) at once).
 
     Deduplication is by (order, class intersection profile), which is
-    conjugation invariant. Returns a SweepReport whose verdict is
+    conjugation invariant. Each distinct sampled subgroup is built and
+    profiled once: ``DistinctSubgroups`` recognises a pair generating a
+    subgroup built before by sifting it, and that subgroup's key is
+    already seen. Returns a SweepReport whose verdict is
     refuted-by-prefilter when every sampled class was rejected; this is
     sampling evidence, not an exhaustive refutation. Raises DomainError
     when samples < 1, since no samples refute nothing.
@@ -320,7 +323,9 @@ def random_subgroup_sweep(group, chi, *, samples=10000, seed=0,
     if samples < 1:
         raise DomainError(f"the sweep needs at least 1 sample, not {samples}")
     rng = random.Random(seed)
-    half = group.order // 2
+    # a subgroup of order > |G|/2 is the whole group (Lagrange), so None,
+    # and only None, means the pair generates G
+    subgroups = DistinctSubgroups(group.degree, group.order // 2)
     seen = {}
     log = []
     unrejected = []
@@ -328,10 +333,9 @@ def random_subgroup_sweep(group, chi, *, samples=10000, seed=0,
     for _ in range(samples):
         x = group.random_element(rng)
         y = group.random_element(rng)
-        # a subgroup of order > |G|/2 is the whole group (Lagrange), so
-        # None, and only None, means the pair generates G
-        candidate = PermGroup.from_generators_bounded([x, y], group.degree,
-                                                      half)
+        candidate = subgroups.generated([x, y])
+        if candidate is False:  # built before, so its key is in seen
+            continue
         if candidate is None:
             whole_hits += 1
             key = ("whole",)

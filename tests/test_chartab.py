@@ -259,21 +259,40 @@ def test_induced_permutation_character_transitive():
     assert inner_product(induced, trivial_character(group)) == ONE
 
 
-def test_induce_matches_pointwise_formula():
+def test_induce_matches_pointwise_formula(monkeypatch):
+    # every subgroup class of A5 and PSL(2,7), U = G included, and the
+    # trivial group of degree 1; the pointwise path reads no fusion
     psl27 = catalog.load("PSL27")
-    cases = [(a5(), [a4_in_a5()]),
-             (psl27, psl27.subgroups_up_to_conjugacy())]
-    for group, subgroups in cases:
-        for sub in subgroups:
-            for phi in character_table(sub).irreducibles:
-                assert induce(phi, group) == induce_pointwise(phi, group)
+    trivial = PermGroup.trivial()
+    cases = [(group, sub, phi)
+             for group in (a5(), psl27, trivial)
+             for sub in group.subgroups_up_to_conjugacy()
+             for phi in character_table(sub).irreducibles]
+    expected = [induce(phi, group) for group, _, phi in cases]
+    monkeypatch.setattr(chartab, "class_fusion", None)
+    monkeypatch.setattr(chartab, "induce", None)
+    assert [induce_pointwise(phi, group) for group, _, phi in cases] == \
+        expected
+    assert {sub.order for group, sub, _ in cases if group is psl27} == \
+        {1, 2, 3, 4, 6, 7, 8, 12, 21, 24, 168}
+
+
+def test_induce_pointwise_checks_the_transversal():
+    # U's element map without the identity: the least element of tU
+    # then depends on which t of the coset is at hand, so the walk splits
+    # cosets and the transversal is too long for |T| |U| = |G|
+    sub = a4_in_a5()
+    phi = character_table(sub).irreducibles[0]
+    del sub.conjugacy_classes().element_to_class[(0, 1, 2, 3, 4)]
+    with pytest.raises(IntegrityError, match="transversal"):
+        induce_pointwise(phi, a5())
 
 
 def test_induce_pointwise_leaves_the_group_unsorted():
     parent, sub, _ = catalog.load_subgroup("PSU42_U160")
     group = PermGroup(parent.degree, parent.generators)
-    phi = character_table(sub).irreducibles[-1]
-    assert induce_pointwise(phi, group) == induce(phi, group)
+    for phi in character_table(sub).irreducibles:
+        assert induce_pointwise(phi, group) == induce(phi, group)
     assert "elements" not in group._cache
 
 

@@ -225,6 +225,22 @@ def test_verify_paper_sweep_needs_samples(capsys, monkeypatch, samples):
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "A5", "--max-elements", "-5"),
+    ("qsi", "A5", "--max-elements", "-1"),
+    ("qsi", "A5", "--max-group-order", "-1"),
+    ("verify-paper", "a5-not-qsi", "--max-group-order", "-3"),
+])
+def test_negative_bounds_are_rejected_when_parsed(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: must be at least 0, not {argv[-1]}" \
+        in captured.err
+
+
 def test_fixtures_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["zsigmondy", "2", "6", "--fixtures", "x"])

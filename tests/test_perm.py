@@ -14,6 +14,7 @@ from qsikit.errors import (
 from qsikit.perm import (
     ELEMENT_ENUMERATION_BOUND,
     ConjugacyClassSet,
+    DistinctSubgroups,
     PermGroup,
     Permutation,
     _OrderCapExceeded,
@@ -265,7 +266,7 @@ def test_bounded_construction_matches_the_full_build():
     # pairs, 50 pairs each from M11 and A7, and each of the 30 random
     # small groups with its own generators and with 5 of its pairs.
     from qsikit import catalog
-    from qsikit.perm import _certifies_order_above
+    from qsikit.perm import _order_lower_bound
 
     rng = random.Random(20261018)
     cases = []
@@ -292,11 +293,13 @@ def test_bounded_construction_matches_the_full_build():
                 assert [level.beta for level in bounded._levels] == \
                     [level.beta for level in full._levels]
         images = [g.images for g in full.generators]
-        assert not _certifies_order_above(group.degree, images, full.order)
+        assert _order_lower_bound(group.degree, images,
+                                  full.order) <= full.order
         if group.degree == 27 and full.order == group.order:
             whole += 1
-            certified += _certifies_order_above(group.degree, images,
-                                                group.order // 2)
+            certified += _order_lower_bound(group.degree, images,
+                                            group.order // 2) \
+                > group.order // 2
     assert whole > 200 and certified >= whole - 3
 
 
@@ -309,6 +312,57 @@ def test_bounded_construction_edge_cases():
         for cap in (1, 2):
             trivial = PermGroup.from_generators_bounded(gens, degree, cap)
             assert trivial.order == 1 and trivial.generators == ()
+
+
+def test_distinct_subgroups_build_each_subgroup_once():
+    # every answer is from_generators_bounded's, except that a subgroup
+    # returned before is False; pairs from M11, A5 on points 295..299 of
+    # 300 (points past a byte) and the 30 random small groups
+    from qsikit import catalog
+
+    rng = random.Random(20261019)
+    a5_high = PermGroup(300, [cyc(300, [295, 296, 297]),
+                              cyc(300, [295, 296, 297, 298, 299])])
+    for group in [catalog.load("M11"), a5_high] + random_small_groups():
+        cap = group.order // 2
+        subgroups = DistinctSubgroups(group.degree, cap)
+        built = []
+        for _ in range(40):
+            gens = [group.random_element(rng) for _ in range(2)]
+            expected = PermGroup.from_generators_bounded(gens, group.degree,
+                                                         cap)
+            answer = subgroups.generated(gens)
+            if expected is None:
+                assert answer is None
+                continue
+            earlier = [b for b in built if b.order == expected.order
+                       and b.is_subgroup_of(expected)]
+            if answer is False:
+                assert len(earlier) == 1
+                continue
+            assert earlier == []
+            assert answer.order == expected.order
+            assert [level.beta for level in answer._levels] == \
+                [level.beta for level in expected._levels]
+            built.append(answer)
+
+
+def test_distinct_subgroups_edge_cases(monkeypatch):
+    from qsikit import perm
+
+    subgroups = DistinctSubgroups(5, 30)
+    identity = Permutation.identity(5)
+    assert subgroups.generated([identity, identity]).order == 1
+    assert subgroups.generated([identity]) is False
+    assert subgroups.generated([]) is False
+    three = [cyc(5, [0, 1, 2])]
+    assert subgroups.generated(three).order == 3
+    assert subgroups.generated([cyc(5, [0, 2, 1]), identity]) is False
+    assert subgroups.generated([cyc(5, [0, 1, 2, 3, 4])] + three) is None
+    # a bound below the order: the build runs, then finds the subgroup
+    monkeypatch.setattr(perm, "_order_lower_bound", lambda *args: 1)
+    assert subgroups.generated(three) is False
+    assert subgroups.generated([cyc(5, [0, 1], [2, 3])]).order == 2
 
 
 def test_elements_and_random_elements():

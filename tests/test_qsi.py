@@ -1,9 +1,10 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from qsikit import catalog
+from qsikit import catalog, perm
 from qsikit.chartab import (
     Character,
     character_table,
@@ -18,7 +19,13 @@ from qsikit.errors import DomainError
 from qsikit.perm import PermGroup, Permutation
 from qsikit.primes import prime_factors
 from qsikit.qsi import (
+    STATUS_REFUTED_PREFILTER,
+    STATUS_UNDECIDED,
+    QsiVerdict,
     SearchBounds,
+    SweepReport,
+    _record_sweep,
+    _sweep_reject_reasons,
     class_fraction_prefilter,
     decide_qsi_character,
     decide_qsi_group,
@@ -328,8 +335,17 @@ def test_sweep_on_psl27_degree6_monomial():
     report = random_subgroup_sweep(group, chi6, samples=400, seed=3,
                                    monomial=True)
     assert report.verdict.status == "refuted-by-prefilter"
-    assert report.distinct_classes >= 3
+    assert (report.samples, report.distinct_classes,
+            report.whole_group_hits) == (400, 10, 280)
     assert not report.unrejected
+    # order 1 is the identity pair: a subgroup with no generators
+    orders = (24, 12, 21, 7, 8, 6, 4, 1, 3)
+    assert [record.to_json() for record in report.verdict.pruning_log] == [
+        {"subgroup_order": 168, "subgroup": "order 168 (whole group)",
+         "reason": "degree-incompatible+nonabelian-simple"}] + [
+        {"subgroup_order": order, "subgroup": f"order {order} profile#{i}",
+         "reason": "degree-incompatible+class-fraction"}
+        for i, order in enumerate(orders, start=2)]
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -369,3 +385,111 @@ def test_psu42_sampling_stream_is_pinned():
     assert labels == ["order 25920 (whole group)"] + [
         f"order {order} profile#{i}"
         for i, order in enumerate(PSU42_SWEEP_ORDERS, start=2)]
+
+
+def reference_random_subgroup_sweep(group, chi, *, samples, seed,
+                                    monomial=True, steinberg_prime=None):
+    """The sweep as it was before it recognised repeated subgroups: each
+    proper sampled pair is built by ``from_generators_bounded`` and
+    profiled."""
+    rng = random.Random(seed)
+    half = group.order // 2
+    seen = {}
+    log = []
+    unrejected = []
+    whole_hits = 0
+    for _ in range(samples):
+        x = group.random_element(rng)
+        y = group.random_element(rng)
+        candidate = PermGroup.from_generators_bounded([x, y], group.degree,
+                                                      half)
+        if candidate is None:
+            whole_hits += 1
+            key = ("whole",)
+            if key in seen:
+                continue
+            seen[key] = True
+            label = f"order {group.order} (whole group)"
+            reasons = _sweep_reject_reasons(group, chi, group, None,
+                                            monomial, steinberg_prime)
+            _record_sweep(log, unrejected, group, label, reasons)
+            continue
+        profile = group.class_intersection_profile(candidate)
+        key = (candidate.order, profile)
+        if key in seen:
+            continue
+        seen[key] = True
+        label = f"order {candidate.order} profile#{len(seen)}"
+        reasons = _sweep_reject_reasons(group, chi, candidate, profile,
+                                        monomial, steinberg_prime)
+        _record_sweep(log, unrejected, candidate, label, reasons)
+    status = STATUS_REFUTED_PREFILTER if not unrejected else STATUS_UNDECIDED
+    verdict = QsiVerdict(chi, status, None, log)
+    return SweepReport(verdict, samples, len(seen), whole_hits, unrejected)
+
+
+def test_sweep_matches_reference():
+    # whole reports: PSU(4,2) on two seeds, PSL(2,7) with its degree-6
+    # character, and each random small group with its largest irreducible,
+    # both questions and the p-kernel test at its smallest prime
+    from test_perm import random_small_groups
+
+    psu42 = catalog.load("PSU42")
+    steinberg = character_table(psu42).unique_by_degree(81)
+    psl27 = catalog.load("PSL27")
+    cases = [(psu42, steinberg, dict(seed=seed, samples=2000,
+                                     steinberg_prime=3))
+             for seed in (7, 2026)]
+    cases.append((psl27, character_table(psl27).unique_by_degree(6),
+                  dict(seed=5, samples=1000)))
+    for seed, group in enumerate(random_small_groups()):
+        chi = character_table(group).irreducibles[-1]
+        primes = prime_factors(group.order)
+        cases.append((group, chi, dict(
+            seed=seed, samples=150, monomial=bool(seed % 2),
+            steinberg_prime=min(primes) if primes else None)))
+    for group, chi, kwargs in cases:
+        report = random_subgroup_sweep(group, chi, **kwargs)
+        assert report == reference_random_subgroup_sweep(group, chi,
+                                                         **kwargs)
+
+
+def test_sweep_builds_and_profiles_each_distinct_subgroup_once(monkeypatch):
+    # catalog PSU(4,2), St, seed 301, 10^4 samples: the sweep before the
+    # recognition made 1137 profiles and 1142 capped builds
+    group = catalog.load("PSU42")
+    steinberg = character_table(group).unique_by_degree(81)
+    half = group.order // 2
+    counts = Counter()
+    bounds = {}
+    order_lower_bound = perm._order_lower_bound
+    init = PermGroup.__init__
+    profile = PermGroup.class_intersection_profile
+
+    def lower_bound(degree, gens, order_cap):
+        bounds[tuple(gens)] = order_lower_bound(degree, gens, order_cap)
+        return bounds[tuple(gens)]
+
+    def counted_init(self, degree, gens, _chain=None, _order_cap=None):
+        counts["build"] += _order_cap is not None
+        init(self, degree, gens, _chain, _order_cap)
+
+    def counted_profile(self, sub):
+        counts["profile"] += 1
+        return profile(self, sub)
+
+    monkeypatch.setattr(perm, "_order_lower_bound", lower_bound)
+    monkeypatch.setattr(PermGroup, "__init__", counted_init)
+    monkeypatch.setattr(PermGroup, "class_intersection_profile",
+                        counted_profile)
+    report = random_subgroup_sweep(group, steinberg, seed=301,
+                                   samples=10000, monomial=True,
+                                   steinberg_prime=3)
+    assert (report.distinct_classes, report.whole_group_hits) == (66, 8864)
+    assert (counts["profile"], counts["build"]) == (592, 614)
+    monkeypatch.undo()
+    # the bound never exceeds the order of the group the pair generates
+    for gens, bound in bounds.items():
+        assert bound <= group.order
+        if bound <= half:
+            assert bound <= PermGroup(group.degree, gens).order
