@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
 from math import isqrt, lcm
 from operator import itemgetter
 
 from .cyclotomic import Cyclotomic, ONE, ZERO
 from .errors import DomainError, IntegrityError
-from .perm import _compose, _invert
+from .perm import _compose, _invert, _least_coset_transversal
 from .primes import is_prime, primitive_root
 
 
@@ -525,9 +524,8 @@ def induce_pointwise(phi, group):
     cosets tU) and phi° equal to phi on U and 0 off it, phi^G(x) is the
     sum of phi°(x^t) over t in T (Isaacs, Character Theory, (5.1)-(5.2)):
     x^(tu) = (x^t)^u lies in U exactly when x^t does, and in the same
-    U-class. T holds the least element of each coset, found by a walk of
-    G's generators acting on the cosets from the left, so it keeps |T|
-    tuples and never a set the size of G; |T| |U| = |G| is checked.
+    U-class. T holds the least element of each coset
+    (`perm._least_coset_transversal`, which checks |T| |U| = |G|).
     Each x^t is looked up in U's element-to-class map, which holds every
     element of U: a miss means x^t is not in U.
     """
@@ -536,19 +534,8 @@ def induce_pointwise(phi, group):
         raise DomainError("induction requires a subgroup")
     g_classes = group.conjugacy_classes()
     s_lookup = subgroup.conjugacy_classes().element_to_class
-    # the identity is the least element of U
-    transversal = [tuple(range(group.degree))]
-    found = set(transversal)
-    for t in transversal:  # reaches what it appends
-        for g in group.generators:
-            least = min(map(_compose, repeat(_compose(g.images, t)),
-                            s_lookup))
-            if least not in found:
-                found.add(least)
-                transversal.append(least)
-    if len(transversal) * subgroup.order != group.order:
-        raise IntegrityError("coset transversal size check failed")
-    moves = [(t, _invert(t)) for t in transversal]
+    moves = [(t, _invert(t))
+             for t in _least_coset_transversal(group, s_lookup)]
     values = []
     for rep in g_classes.representatives:
         x = rep.images

@@ -5,6 +5,11 @@ A value sum(c_k * zeta_e^k) is stored over the power basis
 e-th cyclotomic polynomial, and always at its minimal conductor. Two
 equal values therefore have identical (conductor, coefficients) data,
 so equality and hashing are syntactic.
+
+The minimal conductor is found one prime p of e at a time, by testing
+whether the value lies in Q(zeta_(e/p)): a scan of the coordinates when
+p^2 | e, and otherwise a comparison with its relative trace over p - 1,
+the projection onto Q(zeta_(e/p)). Neither needs linear algebra.
 """
 
 from __future__ import annotations
@@ -25,35 +30,31 @@ def _phi(n):
     return result
 
 
-_cyclotomic_poly_cache = {1: (Fraction(-1), Fraction(1))}
-
-
+@cache
 def cyclotomic_polynomial(n):
-    """Coefficient tuple (low degree first) of the n-th cyclotomic
-    polynomial, computed by exact division of x^n - 1."""
-    if n in _cyclotomic_poly_cache:
-        return _cyclotomic_poly_cache[n]
-    numerator = [Fraction(0)] * (n + 1)
-    numerator[0] = Fraction(-1)
-    numerator[n] = Fraction(1)
+    """Integer coefficient tuple (low degree first) of the n-th
+    cyclotomic polynomial: x^n - 1 divided by Phi_d for every proper
+    divisor d of n. Each Phi_d is monic, so the division is exact in
+    integers."""
+    numerator = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
             numerator = _poly_divide_exact(numerator, cyclotomic_polynomial(d))
-    result = tuple(numerator)
-    _cyclotomic_poly_cache[n] = result
-    return result
+    return tuple(numerator)
 
 
 def _poly_divide_exact(num, den):
+    """Quotient of integer polynomials by a monic divisor, which must
+    leave no remainder."""
     num = list(num)
-    quotient = [Fraction(0)] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        coeff = num[i + len(den) - 1] / den[-1]
-        quotient[i] = coeff
+    top = len(den) - 1
+    quotient = [0] * (len(num) - top)
+    for i in range(len(quotient) - 1, -1, -1):
+        coeff = quotient[i] = num[i + top]
         if coeff:
             for j, d in enumerate(den):
                 num[i + j] -= coeff * d
-    if any(num[: len(den) - 1]):
+    if any(num[:top]):
         raise IntegrityError("polynomial division left a remainder")
     return quotient
 
@@ -62,13 +63,14 @@ def _reduce_mod_cyclotomic(coeffs, n):
     """Reduce a length-n exponent vector to the power basis of Q(zeta_n)."""
     phi_n = _phi(n)
     poly = list(coeffs)
-    modulus = cyclotomic_polynomial(n)
+    # x^phi(n) = -(the lower terms of Phi_n), which is monic
+    lower = [(j, a) for j, a in enumerate(cyclotomic_polynomial(n)[:-1])
+             if a]
     for i in range(len(poly) - 1, phi_n - 1, -1):
         c = poly[i]
         if c:
-            poly[i] = Fraction(0)
-            for j in range(len(modulus) - 1):
-                poly[i - len(modulus) + 1 + j] -= c * modulus[j]
+            for j, a in lower:
+                poly[i - phi_n + j] -= c * a
     return poly[:phi_n]
 
 
@@ -417,68 +419,55 @@ def _cos_fixed(x, one):
 
 
 def _descend_to_minimal(n, coeffs):
-    """Rewrite power-basis coordinates at the minimal conductor."""
-    changed = True
-    while changed and n > 1:
-        changed = False
-        for p in prime_factors(n):
-            m = n // p
-            down = _try_descend(n, coeffs, m)
-            if down is not None:
-                n, coeffs = m, down
-                changed = True
-                break
-    return n, list(coeffs)
+    """Rewrite power-basis coordinates at the minimal conductor.
 
-
-def _try_descend(n, coeffs, m):
-    """Coordinates of the value over Q(zeta_m) if it lies there, else None.
-
-    Solves for the value as a rational combination of the reduced images
-    of zeta_m^j inside Q(zeta_n); solvability of the linear system is
-    exactly membership in the subfield.
+    One pass over the primes of n is enough: a value outside
+    Q(zeta_(n/p)) lies in no Q(zeta_(d/p)) for d | n, so once the
+    descent by p fails it fails at every smaller conductor too.
     """
-    phi_n = _phi(n)
-    phi_m = _phi(m)
-    step = n // m
-    basis_images = []
-    for j in range(phi_m):
-        vec = [Fraction(0)] * n
-        vec[(j * step) % n] = Fraction(1)
-        basis_images.append(_reduce_mod_cyclotomic(vec, n))
-    # augmented system: phi_n equations, phi_m unknowns
-    rows = [[basis_images[j][i] for j in range(phi_m)] + [coeffs[i]]
-            for i in range(phi_n)]
-    solution = _solve_exact(rows, phi_m)
-    return solution
+    for p in prime_factors(n):
+        while n % p == 0:
+            down = _descend(n, coeffs, p)
+            if down is None:
+                break
+            n, coeffs = n // p, down
+    return n, coeffs
 
 
-def _solve_exact(rows, n_unknowns):
-    rows = [list(r) for r in rows]
-    n_rows = len(rows)
-    pivot_cols = []
-    r = 0
-    for col in range(n_unknowns):
-        pivot = next((i for i in range(r, n_rows) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        factor = rows[r][col]
-        rows[r] = [v / factor for v in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(col)
-        r += 1
-    # inconsistent -> no solution
-    for i in range(r, n_rows):
-        if rows[i][-1]:
+def _descend(n, coeffs, p):
+    """Coordinates of the value over Q(zeta_m), m = n/p, if it lies
+    there, else None (Washington, Introduction to Cyclotomic Fields,
+    ch. 2).
+
+    If p^2 | n, the power basis of Q(zeta_n) is {zeta_n^(i + p j) =
+    zeta_n^i zeta_m^j : i < p, j < phi(m)}, with 1, ..., zeta_n^(p-1) a
+    basis over Q(zeta_m). The value lies in Q(zeta_m) exactly when its
+    coordinates off the multiples of p are zero. If p || n, Q(zeta_n)
+    has degree p - 1 over Q(zeta_m), and the relative trace over p - 1
+    projects onto Q(zeta_m): it keeps zeta_n^k = zeta_m^(k/p) for p | k
+    and sends any other zeta_n^k to -zeta_m^(k p^-1 mod m) / (p - 1).
+    The value lies in Q(zeta_m) exactly when the projection keeps it.
+    """
+    m = n // p
+    if m % p == 0:
+        if any(c for k, c in enumerate(coeffs) if k % p):
             return None
-    solution = [Fraction(0)] * n_unknowns
-    for i, col in enumerate(pivot_cols):
-        solution[col] = rows[i][-1]
-    return solution
+        return coeffs[::p]
+    inverse = pow(p, -1, m)
+    down = [Fraction(0)] * m
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        if k % p == 0:
+            down[k // p] += c
+        else:
+            down[k * inverse % m] -= c / (p - 1)
+    down = _reduce_mod_cyclotomic(down, m)
+    up = [Fraction(0)] * n
+    up[:p * len(down):p] = down  # zeta_m^j = zeta_n^(p j)
+    if _reduce_mod_cyclotomic(up, n) != coeffs:
+        return None
+    return down
 
 
 ZERO = Cyclotomic.from_rational(0)

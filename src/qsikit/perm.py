@@ -75,6 +75,30 @@ def _conjugation_moves(perms):
     return [(p.images, itemgetter(*_invert(p.images))) for p in perms]
 
 
+def _least_in_coset(x, sub_elements):
+    """The least element of the coset xU, given the elements of U."""
+    return min(map(_compose, itertools.repeat(x), sub_elements))
+
+
+def _least_coset_transversal(group, sub_elements):
+    """The least element of each left coset tU of a subgroup U, given
+    its elements, in the order of a walk of the group's generators
+    acting on the cosets from the left. It keeps |T| tuples and never a
+    set the size of the group, and starts at the identity, the least
+    element of U; |T| |U| = |G| is checked."""
+    transversal = [tuple(range(group.degree))]
+    found = set(transversal)
+    for t in transversal:  # reaches what it appends
+        for g in group.generators:
+            least = _least_in_coset(_compose(g.images, t), sub_elements)
+            if least not in found:
+                found.add(least)
+                transversal.append(least)
+    if len(transversal) * len(sub_elements) != group.order:
+        raise IntegrityError("coset transversal size check failed")
+    return transversal
+
+
 class Permutation:
     """A bijection of {0..n-1}, stored as its image tuple."""
 
@@ -895,7 +919,8 @@ class PermGroup:
 
     def quotient(self, sub):
         """Faithful permutation action of self on the cosets of a normal
-        subgroup, of order [self : sub]."""
+        subgroup, of order [self : sub]: g takes tU to tgU, a coset
+        because U is normal. Each coset is named by its least element."""
         if not sub.is_subgroup_of(self):
             raise DomainError("quotient requires a subgroup")
         if not self.is_normal(sub):
@@ -903,31 +928,12 @@ class PermGroup:
         if sub.order == self.order:
             return PermGroup.trivial(1)
         sub_elems = sub.elements()
-        gens = [g.images for g in self.generators]
-
-        def coset_key(t):
-            return min(_compose(n, t) for n in sub_elems)
-
-        identity = tuple(range(self.degree))
-        start = coset_key(identity)
-        index_of = {start: 0}
-        reps = [identity]
-        queue = [identity]
-        while queue:
-            x = queue.pop(0)
-            for g in gens:
-                y = _compose(x, g)
-                key = coset_key(y)
-                if key not in index_of:
-                    index_of[key] = len(reps)
-                    reps.append(y)
-                    queue.append(y)
-        n_cosets = len(reps)
-        images = []
-        for g in gens:
-            img = [index_of[coset_key(_compose(x, g))] for x in reps]
-            images.append(Permutation(img))
-        result = PermGroup(max(n_cosets, 1), images)
+        transversal = _least_coset_transversal(self, sub_elems)
+        index_of = {t: i for i, t in enumerate(transversal)}
+        images = [Permutation([
+            index_of[_least_in_coset(_compose(t, g.images), sub_elems)]
+            for t in transversal]) for g in self.generators]
+        result = PermGroup(len(transversal), images)
         if result.order * sub.order != self.order:
             raise IntegrityError("quotient order check failed")
         return result

@@ -158,10 +158,11 @@ def simple_subgroup_prefilter(chi, subgroup):
 def verify_qsi_witness(group, chi, witness):
     """Re-verify a witness through an independent code path.
 
-    Induction is recomputed by the raw pointwise sum over all group
-    elements rather than the fused classwise formula, the multiplier is
-    rechecked against the degree equation, and solvability of U/ker(phi)
-    is recomputed from the explicit coset-action quotient.
+    Induction is recomputed by the pointwise sum over a transversal of
+    U's cosets (`induce_pointwise`) rather than the fused classwise
+    formula, the multiplier is rechecked against the degree equation,
+    and solvability of U/ker(phi) is recomputed from the explicit
+    coset-action quotient.
     """
     subgroup = witness.subgroup
     phi = witness.phi

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import lcm
 
 import pytest
@@ -93,6 +95,35 @@ def test_full_orthogonality_exact():
                 else:
                     expected = ZERO
                 assert total == expected
+
+
+# sha256 of json.dumps(table.to_json(), sort_keys=True), recorded before
+# the cyclotomic descent moved from a linear solve to the relative trace;
+# any change to a value, its conductor or the class order shows up here
+TABLE_DIGESTS = {
+    "A5": "7c253d3154ac192a09f9fa988755ff831bede872a2084103d466f2d834dde432",
+    "A6": "12e1a5f50f48ea86a9d9d8a296ae316fa2df78790fc253ec1e5d8696f50b5d45",
+    "A7": "d8395ad7fc01bbc1bb1e6c3f86acb94ae1ab3c61b3d8f74a6e5b8128ca884ca4",
+    "A8": "ac9fb559d1de0c4ab9aacbb8256882f80a5f125e24c02e5a76e5d0202304ada4",
+    "A9": "17d2952383a84f5bcf48e37b17ab075f83d4e8e5d29591a24f522ead347afdd6",
+    "M11": "1d9f78e39e8442b18b447bf51738b5ac7650918c2eae85ef69a702eae03d3e6c",
+    "PSL211":
+        "198abff7275c84236c0b16997755c8578928576464510e384c73f37570aed918",
+    "PSL27":
+        "bf14e06016944cc174a6305a99c8ca68e29f5cbceeb2a6e31468259699728564",
+    "PSU42":
+        "01b1a222a69a1973dbf6ef56537630af2f80750f55a70370756c0249dcdb484b",
+    "S4": "64cf2d6a711ba6bd15a84af6e0f50a5df4dc35046a0445c736d4ddbb5b2a6fb9",
+    "SL23": "6f3520d00a53234933c937c6d27dab37863e47616845bfdb3b97aaa0312d7ca3",
+}
+
+
+def test_catalog_tables_are_pinned():
+    assert set(TABLE_DIGESTS) == set(catalog.manifest()["groups"])
+    for group_id, digest in sorted(TABLE_DIGESTS.items()):
+        table = character_table(catalog.load(group_id))
+        text = json.dumps(table.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, group_id
 
 
 def test_degrees_divide_group_order():

@@ -5,7 +5,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsikit.cyclotomic import Cyclotomic, ONE, ZERO, cyclotomic_polynomial
+from qsikit.cyclotomic import (
+    Cyclotomic, ONE, ZERO, _phi, _reduce_mod_cyclotomic, cyclotomic_polynomial)
 from qsikit.errors import DomainError
 
 # (sqrt 5 - 1)/2 = zeta_5 + zeta_5^-1
@@ -42,6 +43,10 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    # Phi_105 is the first with a coefficient other than 0 and +-1
+    phi105 = cyclotomic_polynomial(105)
+    assert len(phi105) == 49 and phi105[7] == -2
+    assert all(type(c) is int for c in phi105)
 
 
 def test_roots_of_unity_sum_to_zero():
@@ -223,3 +228,128 @@ def test_hash_consistency():
     a = Cyclotomic.zeta(6)
     b = Cyclotomic.from_exponent_map(3, {0: 1, 1: 1})
     assert a == b and hash(a) == hash(b)
+
+
+# -- descent to the minimal conductor, against a linear solve
+
+
+def reference_descend_to_minimal(n, coeffs):
+    """The minimal conductor by linear algebra: the value lies in
+    Q(zeta_m) exactly when it is a rational combination of the reduced
+    images of zeta_m^j in Q(zeta_n). Restarts after every descent."""
+    changed = True
+    while changed and n > 1:
+        changed = False
+        for p in sorted({p for p in range(2, n + 1)
+                         if n % p == 0 and all(p % q for q in range(2, p))}):
+            down = reference_try_descend(n, coeffs, n // p)
+            if down is not None:
+                n, coeffs = n // p, down
+                changed = True
+                break
+    return n, tuple(coeffs)
+
+
+def reference_try_descend(n, coeffs, m):
+    phi_n, phi_m = _phi(n), _phi(m)
+    images = []
+    for j in range(phi_m):
+        vec = [Fraction(0)] * n
+        vec[j * (n // m)] = Fraction(1)
+        images.append(_reduce_mod_cyclotomic(vec, n))
+    rows = [[images[j][i] for j in range(phi_m)] + [coeffs[i]]
+            for i in range(phi_n)]
+    return reference_solve_exact(rows, phi_m)
+
+
+def reference_solve_exact(rows, n_unknowns):
+    """Gauss-Jordan elimination; None if the system is inconsistent."""
+    rows = [list(r) for r in rows]
+    pivot_cols = []
+    r = 0
+    for col in range(n_unknowns):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(col)
+        r += 1
+    if any(row[-1] for row in rows[r:]):
+        return None
+    solution = [Fraction(0)] * n_unknowns
+    for i, col in enumerate(pivot_cols):
+        solution[col] = rows[i][-1]
+    return solution
+
+
+def assert_matches_reference(n, terms):
+    """Cyclotomic(n, ...) of sum c zeta_n^k over terms {k: c} has the
+    solver's minimal conductor and coordinates, all of them Fractions."""
+    vec = [Fraction(0)] * n
+    for k, c in terms.items():
+        vec[k % n] += Fraction(c)
+    value = Cyclotomic(n, vec)
+    expected = reference_descend_to_minimal(
+        n, _reduce_mod_cyclotomic(vec, n))
+    assert (value.conductor, value.coeffs) == expected, (n, terms)
+    assert all(type(c) is Fraction for c in value.coeffs), (n, terms)
+    return value
+
+
+def test_descent_matches_the_linear_solve():
+    # p^2 | n (8, 9, 12, 25, 72), p || n (15, 21, 105), n = 2m with m
+    # odd (6, 14, 30, 66) and prime n (2, 7, 11), up to conductor 120
+    rng = random.Random(17)
+    conductors = [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 14, 15, 16, 18, 20,
+                  21, 24, 25, 27, 28, 30, 36, 45, 60, 66, 72, 84, 90, 105,
+                  120]
+    descended = 0
+    for _ in range(400):
+        n = rng.choice(conductors)
+        # a value of a random subfield Q(zeta_d), written at conductor n
+        d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randrange(d) * (n // d)
+            terms[k] = terms.get(k, 0) + Fraction(rng.randint(-4, 4),
+                                                  rng.randint(1, 3))
+        if rng.random() < 0.3:
+            terms[rng.randrange(n)] = Fraction(rng.randint(-2, 2))
+        value = assert_matches_reference(n, terms)
+        descended += value.conductor < n
+    assert descended > 200
+
+
+def test_values_outside_every_subfield_stay():
+    # zeta_7 + zeta_7^-1 generates the real subfield of Q(zeta_7)
+    value = assert_matches_reference(7, {1: 1, 6: 1})
+    assert value.conductor == 7
+    # sqrt 2 = zeta_8 + zeta_8^-1 lies in no Q(zeta_4)
+    sqrt2 = assert_matches_reference(8, {1: 1, 7: 1})
+    assert sqrt2.conductor == 8 and (sqrt2 * sqrt2).integer_value() == 2
+    # i sqrt 3 = zeta_3 - zeta_3^2 written at 12 goes down to 3 only
+    assert assert_matches_reference(12, {4: 1, 8: -1}).conductor == 3
+    # zeta_5 written at 10 as -zeta_10^7, and zeta_9^3 = zeta_3
+    assert assert_matches_reference(10, {7: -1}) == Cyclotomic.zeta(5)
+    assert assert_matches_reference(9, {3: 1}) == Cyclotomic.zeta(3)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=1, max_value=120),
+       st.integers(min_value=1, max_value=6),
+       st.dictionaries(st.integers(min_value=0, max_value=119),
+                       st.fractions(min_value=-5, max_value=5,
+                                    max_denominator=6),
+                       min_size=1, max_size=5))
+def test_descent_property(n, lift, terms):
+    value = assert_matches_reference(n, terms)
+    # written at a multiple of its conductor, a value comes back down
+    up = Cyclotomic.from_exponent_map(
+        value.conductor * lift,
+        {k * lift: c for k, c in enumerate(value.coeffs)})
+    assert up == value
