@@ -6,14 +6,14 @@ over a prime field F_l (l = 1 mod exp(G), l > 2*sqrt(|G|)) are the
 normalized irreducible characters; eigenvalue multiplicities of powers
 lift each character value back to an exact cyclotomic integer.
 
-Following Schneider's restriction of the method, a class matrix is only
-built when it splits a common eigenspace. Before building it, each
-still-unsplit space is probed through its pivot rows: over an echelonized
-basis those rows give the coordinates of every image, and by the
-identity a_ijl |C_l| = a_i'lj |C_j| (i' the inverse class) row j of
-class matrix i is column j of class matrix i', rescaled. The probe thus
-reads one column per unsplit dimension instead of all k, and a class
-that acts as a scalar on every unsplit space is skipped.
+Following Schneider's restriction of the method, no class matrix is
+ever built in full. Over an echelonized basis of a still-unsplit space
+the pivot rows give the coordinates of every image, and by the identity
+a_ijl |C_l| = a_i'lj |C_j| (i' the inverse class) row j of class matrix
+i is column j of class matrix i', rescaled. So each split reads one
+column per unsplit dimension, and a class that acts as a scalar on a
+space leaves it whole. The split never forms full images, so the final
+rows are checked against the first orthogonality relation mod p.
 
 All downstream operations (inner products, induction, restriction,
 kernels) are exact; nothing here ever touches floating point.
@@ -155,11 +155,6 @@ class CharacterTable:
 # modular linear algebra helpers
 
 
-def _mat_vec(matrix, vector, p):
-    return tuple(sum(row[j] * vector[j] for j in range(len(vector))) % p
-                 for row in matrix)
-
-
 def _echelonize(vectors, p):
     """Fully reduced row echelon form; each pivot column is zero in every
     other row. Vectors are coordinate tuples mod p."""
@@ -183,20 +178,6 @@ def _echelonize(vectors, p):
         basis.append(vec)
         pivots.append(pivot)
     return basis, pivots
-
-
-def _coordinates(basis, pivots, vector, p):
-    """Coordinates of a vector over an echelonized basis."""
-    vec = list(vector)
-    coords = []
-    for row, col in zip(basis, pivots):
-        c = vec[col]
-        coords.append(c)
-        if c:
-            vec = [(a - c * b) % p for a, b in zip(vec, row)]
-    if any(vec):
-        raise IntegrityError("vector is outside the invariant subspace")
-    return coords
 
 
 def _charpoly(matrix, p):
@@ -275,45 +256,6 @@ def _class_column(classes, i, l, inverse_class):
     return {inverse_class[j]: count for j, count in counts.items()}
 
 
-def _class_matrix(classes, i, inverse_class):
-    """Matrix A with A[j][l] = #{x in C_i : x^-1 z_l in C_j}, as exact
-    integer counts (not reduced mod p)."""
-    k = len(classes)
-    matrix = [[0] * k for _ in range(k)]
-    for l in range(k):
-        for j, count in _class_column(classes, i, l, inverse_class).items():
-            matrix[j][l] = count
-    return matrix
-
-
-def _acts_as_scalar(classes, i, spaces, inverse_class, p):
-    """Whether class matrix i acts as a scalar on every unsplit space.
-
-    An echelonized basis has the coordinates of a vector at its pivots,
-    so only the pivot rows of the matrix are needed. Row j of matrix i is
-    column j of matrix i' (i' the inverse class), rescaled:
-    a_ijl * |C_l| = a_i'lj * |C_j|.
-    """
-    sizes = classes.sizes
-    for basis, pivots in spaces:
-        if len(basis) == 1:
-            continue
-        scalar = None
-        for r, j in enumerate(pivots):
-            row = _class_column(classes, inverse_class[i], j, inverse_class)
-            for c, vec in enumerate(basis):
-                entry = sum(count * sizes[j] // sizes[l] * vec[l]
-                            for l, count in row.items()) % p
-                if r != c:
-                    if entry:
-                        return False
-                elif scalar is None:
-                    scalar = entry
-                elif entry != scalar:
-                    return False
-    return True
-
-
 def character_table(group):
     """Compute the exact table of irreducible characters."""
     if "character_table" in group._cache:
@@ -330,54 +272,91 @@ def character_table(group):
     inverse_class = [classes.element_to_class[_invert(rep.images)]
                      for rep in classes.representatives]
 
-    # split the common eigenspaces of the class matrices, smallest class
-    # first (its matrix is cheapest to build). A class whose matrix acts
-    # as a scalar on every unsplit space would split nothing, so its
-    # matrix is not built; the probe reads one column per unsplit
-    # dimension, so it only pays while those total less than k
+    # split the common eigenspaces by the class matrices, smallest class
+    # first (its columns are the cheapest to read), until every space is
+    # one-dimensional
     spaces = [([tuple(1 if i == j else 0 for j in range(k))
                 for i in range(k)], list(range(k)))]
-    class_order = sorted(range(1, k), key=lambda i: (classes.sizes[i], i))
-    for i in class_order:
-        unsplit = sum(len(basis) for basis, _ in spaces if len(basis) > 1)
-        if not unsplit:
+    for i in sorted(range(1, k), key=lambda i: (classes.sizes[i], i)):
+        if all(len(basis) == 1 for basis, _ in spaces):
             break
-        if unsplit < k and _acts_as_scalar(classes, i, spaces,
-                                           inverse_class, p):
-            continue
-        matrix = [[a % p for a in row]
-                  for row in _class_matrix(classes, i, inverse_class)]
-        spaces = _split_by_eigenspaces(spaces, matrix, p)
+        spaces = _split(classes, i, spaces, inverse_class, p)
     table = _table_from_spaces(group, spaces, p, inverse_class)
     group._cache["character_table"] = table
     return table
 
 
+def _split(classes, i, spaces, inverse_class, p):
+    """Split every unsplit space by the eigenspaces of class matrix i.
+
+    The spaces are invariant because the class matrices commute, so the
+    matrix restricted to a space is read off its pivot rows, one column
+    of matrix i' each (see the module docstring). A space stays whole
+    where the restriction is a scalar.
+    """
+    sizes = classes.sizes
+    result = []
+    for basis, pivots in spaces:
+        dim = len(basis)
+        if dim == 1:
+            result.append((basis, pivots))
+            continue
+        restricted = []
+        for j in pivots:
+            row = _class_column(classes, inverse_class[i], j, inverse_class)
+            restricted.append([sum(count * sizes[j] // sizes[l] * vec[l]
+                                   for l, count in row.items()) % p
+                               for vec in basis])
+        scalar = restricted[0][0]
+        if all(restricted[a][b] == (scalar if a == b else 0)
+               for a in range(dim) for b in range(dim)):
+            result.append((basis, pivots))
+            continue
+        pieces = []
+        for lam in sorted(_poly_roots(_charpoly(restricted, p), p)):
+            shifted = [[(restricted[a][b] - (lam if a == b else 0)) % p
+                        for b in range(dim)] for a in range(dim)]
+            pieces.append(_echelonize(
+                [tuple(sum(c * vec[t] for c, vec in zip(coords, basis)) % p
+                       for t in range(len(basis[0])))
+                 for coords in _kernel(shifted, p)], p))
+        # a commuting family of class matrices is diagonalizable over F_p;
+        # eigenspaces that fall short of the space mean a wrong restriction
+        if sum(len(sub_basis) for sub_basis, _ in pieces) != dim:
+            raise IntegrityError(
+                f"class matrix {i} is not diagonalizable on a common "
+                "eigenspace")
+        result += pieces
+    return result
+
+
 def _table_from_spaces(group, spaces, p, inverse_class):
     """The table whose irreducibles are the one-dimensional common
-    eigenspaces, each lifted to exact cyclotomic values."""
+    eigenspaces, each lifted to exact cyclotomic values.
+
+    The rows mod p must satisfy the first orthogonality relation,
+    sum_j |C_j| chi(z_j) psi(z_j^-1) = |G| [chi = psi], over every pair:
+    the split reads no full images, so this is what checks its vectors.
+    """
     classes = group.conjugacy_classes()
     k = len(classes)
     order = group.order
+    sizes = classes.sizes
     if not all(len(basis) == 1 for basis, _ in spaces):
         raise IntegrityError("class matrices failed to separate characters")
 
-    omegas = []
+    rows = []
+    sqrt_bound = isqrt(order)
     for basis, _ in spaces:
         vec = basis[0]
         if vec[0] == 0:
             raise IntegrityError("eigenvector vanishes on the identity class")
         scale = pow(vec[0], -1, p)
-        omegas.append(tuple((a * scale) % p for a in vec))
-
-    irreducibles = []
-    z = primitive_root(p)
-    sqrt_bound = isqrt(order)
-    for omega in omegas:
+        omega = [(a * scale) % p for a in vec]
         total = 0
         for j in range(k):
             total = (total + omega[j] * omega[inverse_class[j]]
-                     * pow(classes.sizes[j], -1, p)) % p
+                     * pow(sizes[j], -1, p)) % p
         d_squared = (order * pow(total, -1, p)) % p
         degree = None
         for d in range(1, sqrt_bound + 1):
@@ -386,8 +365,19 @@ def _table_from_spaces(group, spaces, p, inverse_class):
                 break
         if degree is None:
             raise IntegrityError("no integer degree matches the eigenvector")
-        values_mod_p = [(omega[j] * degree * pow(classes.sizes[j], -1, p)) % p
-                        for j in range(k)]
+        rows.append((degree, [(omega[j] * degree * pow(sizes[j], -1, p)) % p
+                              for j in range(k)]))
+    for a, (_, row_a) in enumerate(rows):
+        for b, (_, row_b) in enumerate(rows[a:], a):
+            total = sum(size * x * row_b[j_inv] for size, x, j_inv
+                        in zip(sizes, row_a, inverse_class))
+            if total % p != (order % p if a == b else 0):
+                raise IntegrityError(
+                    "table rows fail the first orthogonality relation mod p")
+
+    irreducibles = []
+    z = primitive_root(p)
+    for degree, values_mod_p in rows:
         values = []
         for j in range(k):
             rep = classes.representatives[j]
@@ -410,41 +400,6 @@ def _table_from_spaces(group, spaces, p, inverse_class):
                 m, dict(enumerate(multiplicities))))
         irreducibles.append(Character(group, values))
     return CharacterTable(group, irreducibles)
-
-
-def _split_by_eigenspaces(spaces, matrix, p):
-    """Split every subspace by the eigenspaces of one class matrix.
-
-    Each subspace is invariant because the class matrices commute, so the
-    restriction of the matrix to the subspace is well defined.
-    """
-    result = []
-    for basis, pivots in spaces:
-        if len(basis) == 1:
-            result.append((basis, pivots))
-            continue
-        images = [_mat_vec(matrix, vec, p) for vec in basis]
-        dim = len(basis)
-        restricted = [[0] * dim for _ in range(dim)]
-        for col, img in enumerate(images):
-            for row, c in enumerate(_coordinates(basis, pivots, img, p)):
-                restricted[row][col] = c
-        for lam in sorted(_poly_roots(_charpoly(restricted, p), p)):
-            shifted = [[(restricted[a][b] - (lam if a == b else 0)) % p
-                        for b in range(dim)] for a in range(dim)]
-            kernel_vectors = []
-            for coords in _kernel(shifted, p):
-                vec = [0] * len(basis[0])
-                for c, bvec in zip(coords, basis):
-                    if c:
-                        for t in range(len(vec)):
-                            vec[t] = (vec[t] + c * bvec[t]) % p
-                kernel_vectors.append(tuple(vec))
-            if kernel_vectors:
-                sub_basis, sub_pivots = _echelonize(kernel_vectors, p)
-                if sub_basis:
-                    result.append((sub_basis, sub_pivots))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -495,25 +450,31 @@ def induce(phi, group, fusion=None):
     subgroup = phi.group
     if fusion is None:
         fusion = class_fusion(subgroup, group)
-    s_classes = subgroup.conjugacy_classes()
-    g_classes = group.conjugacy_classes()
-    if len(fusion) != len(s_classes):
+    if len(fusion) != len(subgroup.conjugacy_classes()):
         raise IntegrityError("fusion length does not match subgroup classes")
     if group.order % subgroup.order != 0:
         raise DomainError("subgroup order does not divide the group order")
-    values = [ZERO] * len(g_classes)
-    for s_index, g_index in enumerate(fusion):
-        values[g_index] = (values[g_index]
-                           + phi.values[s_index] * s_classes.sizes[s_index])
-    # phi^G(g) = |C_G(g)|/|U| * sum over fused classes D of |D| phi(D)
-    scaled = [values[g_index] * Fraction(group.order,
-                                         g_classes.sizes[g_index]
-                                         * subgroup.order)
-              for g_index in range(len(g_classes))]
-    result = Character(group, scaled)
+    result = Character(group, _induced_values(phi, group, fusion))
     if result.degree != (group.order // subgroup.order) * phi.degree:
         raise IntegrityError("induced degree check failed")
     return result
+
+
+def _induced_values(phi, group, fusion):
+    """phi^G one class of G at a time, so a comparison can stop at the
+    first class that differs: phi^G(g) = |C_G(g)|/|U| times the sum over
+    the classes D of U fused into g's class of |D| phi(D)."""
+    subgroup = phi.group
+    s_sizes = subgroup.conjugacy_classes().sizes
+    g_sizes = group.conjugacy_classes().sizes
+    fused = [[] for _ in g_sizes]
+    for s_index, g_index in enumerate(fusion):
+        fused[g_index].append(s_index)
+    for g_size, s_indices in zip(g_sizes, fused):
+        total = ZERO
+        for s_index in s_indices:
+            total = total + phi.values[s_index] * s_sizes[s_index]
+        yield total * Fraction(group.order, g_size * subgroup.order)
 
 
 def induce_pointwise(phi, group):

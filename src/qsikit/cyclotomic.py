@@ -84,7 +84,8 @@ class Cyclotomic:
             self.conductor = conductor
             self.coeffs = coeffs
             return
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if isinstance(c, Fraction) else Fraction(c)
+                  for c in coeffs]
         if len(coeffs) < conductor:
             coeffs += [Fraction(0)] * (conductor - len(coeffs))
         elif len(coeffs) > conductor:

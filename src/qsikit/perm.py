@@ -118,6 +118,14 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def _unchecked(cls, images):
+        """Wrap an image tuple that is a permutation by construction, such
+        as a product of the group's own elements, without the check."""
+        perm = object.__new__(cls)
+        perm.images = images
+        return perm
+
+    @classmethod
     def identity(cls, n):
         return cls(range(n))
 
@@ -764,7 +772,7 @@ class PermGroup:
         t = tuple(range(self.degree))
         for transversal in self._cache["random_transversals"]:
             t = _compose(t, rng.choice(transversal))
-        return Permutation(t)
+        return Permutation._unchecked(t)
 
     # -- conjugacy classes
 

@@ -26,9 +26,9 @@ from fractions import Fraction
 
 from .chartab import (
     Character,
+    _induced_values,
     character_table,
     class_fusion,
-    induce,
     induce_pointwise,
     inner_product,
     kernel,
@@ -203,6 +203,7 @@ def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
     fusion = class_fusion(subgroup, group)
     ordered = sorted(range(len(table.irreducibles)),
                      key=lambda j: -table.irreducibles[j].degree)
+    multiples = {}  # k -> the values of k * chi
     for j in ordered:
         phi = table.irreducibles[j]
         k, remainder = divmod(index * phi.degree, chi.degree)
@@ -210,7 +211,10 @@ def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
             continue
         if monomial and (k != 1 or phi.degree != 1):
             continue
-        if induce(phi, group, fusion) == k * chi:
+        if k not in multiples:
+            multiples[k] = (k * chi).values
+        if all(a == b for a, b in zip(_induced_values(phi, group, fusion),
+                                      multiples[k])):
             phi_kernel = kernel(phi)
             if subgroup.derived_series()[-1].is_subgroup_of(phi_kernel):
                 witness = QsiWitness(

@@ -142,7 +142,7 @@ def test_table_determinism():
         [[v for v in chi.values] for chi in t2.irreducibles]
 
 
-# -- class matrices and the scalar probe
+# -- class matrices and the pivot-row split
 
 
 def reference_class_matrix(classes, i):
@@ -162,9 +162,39 @@ def inverse_classes(classes):
             for rep in classes.representatives]
 
 
+def reference_split(spaces, matrix, p):
+    """Split every space by the eigenspaces of a full class matrix, with
+    each image's coordinates read over the echelonized basis and checked
+    to lie in the space."""
+    result = []
+    for basis, pivots in spaces:
+        if len(basis) == 1:
+            result.append((basis, pivots))
+            continue
+        dim = len(basis)
+        restricted = [[0] * dim for _ in range(dim)]
+        for col, vec in enumerate(basis):
+            image = [sum(a * b for a, b in zip(row, vec)) % p
+                     for row in matrix]
+            for row, (bvec, pivot) in enumerate(zip(basis, pivots)):
+                c = image[pivot]
+                restricted[row][col] = c
+                image = [(a - c * b) % p for a, b in zip(image, bvec)]
+            assert not any(image), "image outside the invariant subspace"
+        for lam in sorted(chartab._poly_roots(
+                chartab._charpoly(restricted, p), p)):
+            shifted = [[(restricted[a][b] - (lam if a == b else 0)) % p
+                        for b in range(dim)] for a in range(dim)]
+            vectors = [tuple(sum(c * bvec[t] for c, bvec in zip(coords, basis))
+                             % p for t in range(len(basis[0])))
+                       for coords in chartab._kernel(shifted, p)]
+            result.append(chartab._echelonize(vectors, p))
+    return result
+
+
 def reference_table(group):
-    """Dixon's loop with no probe: every class matrix is built in full,
-    smallest class first, until the common eigenspaces split."""
+    """Dixon's loop with every class matrix built in full, smallest class
+    first, until the common eigenspaces split."""
     classes = group.conjugacy_classes()
     k = len(classes)
     p = chartab._modulus_for(group, lcm(*classes.rep_orders), k)
@@ -175,7 +205,7 @@ def reference_table(group):
             break
         matrix = [[a % p for a in row]
                   for row in reference_class_matrix(classes, i)]
-        spaces = chartab._split_by_eigenspaces(spaces, matrix, p)
+        spaces = reference_split(spaces, matrix, p)
     return chartab._table_from_spaces(group, spaces, p,
                                       inverse_classes(classes))
 
@@ -193,7 +223,7 @@ def test_table_matches_full_matrix_reference():
 
 @pytest.mark.parametrize("group_id", ["C3", "SL23", "PSL27", "A5", "M11"])
 def test_class_coefficients_transpose_through_inverse_class(group_id):
-    # a_ijl * |C_l| = a_i'lj * |C_j|, the identity that lets the probe
+    # a_ijl * |C_l| = a_i'lj * |C_j|, the identity that lets the split
     # read a row of matrix i as a column of matrix i'
     group = c3() if group_id == "C3" else catalog.load(group_id)
     classes = group.conjugacy_classes()
@@ -204,39 +234,88 @@ def test_class_coefficients_transpose_through_inverse_class(group_id):
     assert (inverse_class == list(range(k))) == (group_id == "A5")
     a = [reference_class_matrix(classes, i) for i in range(k)]
     for i in range(k):
-        assert chartab._class_matrix(classes, i, inverse_class) == a[i]
+        for l in range(k):
+            assert chartab._class_column(classes, i, l, inverse_class) == \
+                {j: a[i][j][l] for j in range(k) if a[i][j][l]}
         for j in range(k):
             for l in range(k):
                 assert a[i][j][l] * sizes[l] == \
                     a[inverse_class[i]][l][j] * sizes[j]
 
 
-def test_class_matrices_built_only_when_they_split(monkeypatch):
-    matrices = []
+def test_split_reads_pivot_rows_only(monkeypatch):
     lookups = []
     column_ = chartab._class_column
-    matrix_ = chartab._class_matrix
 
     def counting_column(classes, i, l, inverse_class):
         lookups.append(classes.sizes[i])
         return column_(classes, i, l, inverse_class)
 
-    def counting_matrix(classes, i, inverse_class):
-        matrices.append(i)
-        return matrix_(classes, i, inverse_class)
-
     monkeypatch.setattr(chartab, "_class_column", counting_column)
-    monkeypatch.setattr(chartab, "_class_matrix", counting_matrix)
-    # building every matrix until the split took 11 matrices and 194 866
-    # class-element lookups on A8, 6 and 40 250 on M11
-    for group_id, max_matrices, max_lookups in (("A8", 4, 93334),
-                                                 ("M11", 3, 25640)):
-        matrices.clear()
+    # building each matrix in full until the split took 194 866 class-
+    # element lookups on A8 and 40 250 on M11; probing the pivot rows
+    # before each full build took 93 334 on A8, 25 640 on M11 and 1 865
+    # on PSU(4,2)
+    for group_id, max_lookups in (("A8", 40214), ("M11", 11690),
+                                  ("PSU42", 1055)):
         lookups.clear()
         source = catalog.load(group_id)
         character_table(PermGroup(source.degree, source.generators))
-        assert len(matrices) <= max_matrices
-        assert sum(lookups) <= max_lookups
+        assert sum(lookups) <= max_lookups, group_id
+
+
+@pytest.mark.parametrize("group_id", ["PSL27", "M11"])
+def test_perturbed_restricted_entry_is_caught(monkeypatch, group_id):
+    # add |C_j| to one diagonal entry of one restricted matrix: pivot row
+    # j of matrix i is read as column j of matrix i', whose entry at l = j
+    # is a_i'jj = a_ijj, so adding |C_j| there adds |C_j|, not 0 mod p
+    column_ = chartab._class_column
+    source = catalog.load(group_id)
+    reads = []
+    target = None
+
+    def perturbing_column(classes, i, l, inverse_class):
+        column = column_(classes, i, l, inverse_class)
+        if len(reads) == target:
+            column[l] = column.get(l, 0) + classes.sizes[l]
+        reads.append(l)
+        return column
+
+    monkeypatch.setattr(chartab, "_class_column", perturbing_column)
+    character_table(PermGroup(source.degree, source.generators))
+    escaped = []
+    for target in range(len(reads)):
+        reads.clear()
+        try:
+            character_table(PermGroup(source.degree, source.generators))
+        except IntegrityError:
+            continue
+        escaped.append(target)
+    assert escaped == []
+    assert target == {"PSL27": 7, "M11": 23}[group_id]
+
+
+def test_repeated_row_fails_orthogonality(monkeypatch):
+    # PSL(2,7)'s two characters of degree 3 have the same degree and norm,
+    # so a split that found one of them twice would pass every other check
+    spaces_seen = []
+    table_from_spaces = chartab._table_from_spaces
+
+    def capture(group, spaces, p, inverse_class):
+        spaces_seen.append((spaces, p, inverse_class))
+        return table_from_spaces(group, spaces, p, inverse_class)
+
+    monkeypatch.setattr(chartab, "_table_from_spaces", capture)
+    source = catalog.load("PSL27")
+    group = PermGroup(source.degree, source.generators)
+    character_table(group)
+    (spaces, p, inverse_class), = spaces_seen
+    for a in range(len(spaces)):
+        for b in range(len(spaces)):
+            if a != b:
+                repeated = spaces[:b] + [spaces[a]] + spaces[b + 1:]
+                with pytest.raises(IntegrityError, match="orthogonality"):
+                    table_from_spaces(group, repeated, p, inverse_class)
 
 
 # -- inner products

@@ -365,15 +365,21 @@ def test_distinct_subgroups_edge_cases(monkeypatch):
     assert subgroups.generated([cyc(5, [0, 1], [2, 3])]).order == 2
 
 
-def test_elements_and_random_elements():
+def test_elements_and_random_elements(monkeypatch):
     import random
 
     group = s4()
     elems = group.elements()
     assert len(elems) == 24 == len(set(elems))
     rng = random.Random(3)
-    for _ in range(20):
-        assert group.random_element(rng) in group
+    samples = [group.random_element(rng) for _ in range(20)]
+    assert all(g in group for g in samples)
+    # products of the group's own transversal elements skip the check
+    monkeypatch.setattr(Permutation, "__init__", None)
+    rng = random.Random(3)
+    unchecked = [group.random_element(rng) for _ in range(20)]
+    assert all(isinstance(g, Permutation) for g in unchecked)
+    assert [g.images for g in unchecked] == [g.images for g in samples]
 
 
 # -- conjugacy classes

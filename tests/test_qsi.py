@@ -4,12 +4,13 @@ from collections import Counter
 
 import pytest
 
-from qsikit import catalog, perm
+from qsikit import catalog, perm, qsi
 from qsikit.chartab import (
     Character,
     character_table,
     class_fusion,
     induce,
+    induce_pointwise,
     inner_product,
     kernel,
     restrict,
@@ -243,6 +244,38 @@ def test_conjugate_subgroups_induce_identical_characters():
                 conjugated,
                 [moved_values[i] for i in range(len(c_classes))])
             assert induce(phi, group) == induce(phi_conj, group)
+
+
+def test_search_compares_induced_values_class_by_class(monkeypatch):
+    # the search draws phi^G one class at a time and stops at the first
+    # class that differs from k * chi; with the pointwise induction,
+    # which reads no fusion, in its place every verdict, witness and log
+    # stays the same. Prefilters off: every subgroup class is searched
+    groups = [catalog.load(group_id) for group_id in ("S4", "A5", "PSL27")]
+    bounds = SearchBounds(prefilters=False)
+    drawn = []
+    classwise = qsi._induced_values
+
+    def counting(phi, group, fusion):
+        for value in classwise(phi, group, fusion):
+            drawn.append(value)
+            yield value
+
+    def pointwise(phi, group, fusion):
+        values = induce_pointwise(phi, group).values
+        drawn.extend(values)
+        return values
+
+    verdicts = {}
+    counts = {}
+    for name, induced in (("classwise", counting), ("pointwise", pointwise)):
+        monkeypatch.setattr(qsi, "_induced_values", induced)
+        drawn.clear()
+        verdicts[name] = [[v.to_json() for v in decide_qsi_group(g, bounds)]
+                          for g in groups]
+        counts[name] = len(drawn)
+    assert verdicts["classwise"] == verdicts["pointwise"]
+    assert counts["classwise"] < counts["pointwise"]
 
 
 # -- prefilter soundness (identical verdicts with and without)
