@@ -35,7 +35,7 @@ from .primes import is_prime, primitive_root
 class Character:
     """A class function with one cyclotomic value per conjugacy class."""
 
-    __slots__ = ("group", "values")
+    __slots__ = ("group", "values", "_norms")
 
     def __init__(self, group, values):
         classes = group.conjugacy_classes()
@@ -45,10 +45,18 @@ class Character:
             raise DomainError("one value per conjugacy class is required")
         self.group = group
         self.values = values
+        self._norms = None
 
     @property
     def degree(self):
         return self.values[0].integer_value()
+
+    @property
+    def norms(self):
+        """|chi(g)|^2 per class, worked out the first time it is asked for."""
+        if self._norms is None:
+            self._norms = tuple(v.abs_squared() for v in self.values)
+        return self._norms
 
     def __add__(self, other):
         if isinstance(other, Character):
@@ -445,13 +453,10 @@ def class_fusion(subgroup, group):
     return tuple(fusion)
 
 
-def induce(phi, group, fusion=None):
+def induce(phi, group):
     """Induced character phi^G, computed classwise through the fusion."""
     subgroup = phi.group
-    if fusion is None:
-        fusion = class_fusion(subgroup, group)
-    if len(fusion) != len(subgroup.conjugacy_classes()):
-        raise IntegrityError("fusion length does not match subgroup classes")
+    fusion = class_fusion(subgroup, group)
     if group.order % subgroup.order != 0:
         raise DomainError("subgroup order does not divide the group order")
     result = Character(group, _induced_values(phi, group, fusion))
@@ -510,11 +515,9 @@ def induce_pointwise(phi, group):
     return Character(group, values)
 
 
-def restrict(chi, subgroup, fusion=None):
+def restrict(chi, subgroup):
     """Restriction of a character to a subgroup along the fusion."""
-    group = chi.group
-    if fusion is None:
-        fusion = class_fusion(subgroup, group)
+    fusion = class_fusion(subgroup, chi.group)
     return Character(subgroup, [chi.values[g_index] for g_index in fusion])
 
 

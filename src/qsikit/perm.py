@@ -730,14 +730,15 @@ class PermGroup:
 
     # -- elements
 
-    def elements(self, bound=ELEMENT_ENUMERATION_BOUND):
+    def elements(self):
         """All elements as a sorted tuple of image tuples."""
         if "elements" in self._cache:
             return self._cache["elements"]
-        if self.order > bound:
+        if self.order > ELEMENT_ENUMERATION_BOUND:
             raise CapacityError(
                 f"group order {self.order} exceeds the element enumeration "
-                f"bound {bound}", bound=bound)
+                f"bound {ELEMENT_ENUMERATION_BOUND}",
+                bound=ELEMENT_ENUMERATION_BOUND)
         elems = self._transversal_product()
         elems.sort()
         result = tuple(elems)
@@ -950,15 +951,21 @@ class PermGroup:
 
     def class_intersection_profile(self, sub):
         """Per-class element counts |C intersect sub| for a subgroup, over
-        its unsorted elements, which are not cached."""
-        classes = self.conjugacy_classes()
-        counts = [0] * len(classes)
-        for c in map(classes.element_to_class.__getitem__,
-                     sub._transversal_product()):
-            counts[c] += 1
-        return tuple(counts)
+        its unsorted elements, which are not cached.
 
-    def _transporters(self, a, b, b_profile=None):
+        It is kept in sub's cache, keyed by this group object (not its
+        id, which a later group can reuse), so each pair counts once."""
+        key = ("profile", self)
+        if key not in sub._cache:
+            classes = self.conjugacy_classes()
+            counts = [0] * len(classes)
+            for c in map(classes.element_to_class.__getitem__,
+                         sub._transversal_product()):
+                counts[c] += 1
+            sub._cache[key] = tuple(counts)
+        return sub._cache[key]
+
+    def _transporters(self, a, b):
         """The elements e of self with e^-1 a e <= b, each once.
 
         Such an e takes a generator x of a to some y in b with the class
@@ -967,15 +974,14 @@ class PermGroup:
         are enumerated, for the x that minimises |b cap class(x)| |C|,
         and an e is kept when it conjugates every generator of a into
         the hash set of b's elements. A trivial a yields all of self.
-        b_profile, when given, is b's class-intersection profile.
+        The cost reads b's class-intersection profile, which b keeps.
         """
         if not a.generators:
             return iter(self.elements())
         classes = self.conjugacy_classes()
         element_to_class = classes.element_to_class
         b_elems = b.elements()
-        if b_profile is None:
-            b_profile = self.class_intersection_profile(b)
+        b_profile = self.class_intersection_profile(b)
         a_gens = [g.images for g in a.generators]
 
         def cost(x):
@@ -1003,10 +1009,9 @@ class PermGroup:
 
         return scan()
 
-    def _subgroups_conjugate(self, a, b, b_profile=None):
+    def _subgroups_conjugate(self, a, b):
         return (a.order == b.order
-                and next(self._transporters(a, b, b_profile=b_profile), None)
-                is not None)
+                and next(self._transporters(a, b), None) is not None)
 
     def subgroups_up_to_conjugacy(self, max_order=SUBGROUP_ENUMERATION_BOUND):
         """One representative per conjugacy class of subgroups.
@@ -1049,7 +1054,6 @@ class PermGroup:
         elems = self.elements()
 
         found = []
-        profiles = []
         by_profile = {}
 
         def register(sub):
@@ -1057,19 +1061,18 @@ class PermGroup:
                 return None
             profile = self.class_intersection_profile(sub)
             for idx in by_profile.get(profile, ()):
-                if self._subgroups_conjugate(found[idx], sub, profile):
+                if self._subgroups_conjugate(found[idx], sub):
                     return None
-            index = len(found)
+            by_profile.setdefault(profile, []).append(len(found))
             found.append(sub)
-            profiles.append(profile)
-            by_profile.setdefault(profile, []).append(index)
-            return index
+            return len(found) - 1
 
-        register(PermGroup(self.degree, []))
         queue = []
         for rep in classes.representatives:
+            # the identity class comes first, so the trivial group is
+            # registered first, and it is no base
             idx = register(PermGroup(self.degree, [rep]))
-            if idx is not None:
+            if idx is not None and found[idx].order > 1:
                 queue.append(idx)
 
         # a proper subgroup has order at most |G|/2
@@ -1105,9 +1108,9 @@ class PermGroup:
                 if idx is not None:
                     queue.append(idx)
 
-        ranked = sorted(zip(found + [self], profiles + [(0,)]),
-                        key=lambda pair: (pair[0].order, pair[1]))
-        result = [sub for sub, _ in ranked]
+        # every registered subgroup is proper, so self comes last
+        result = sorted(found, key=lambda sub: (
+            sub.order, self.class_intersection_profile(sub))) + [self]
         self._cache["subgroup_classes"] = result
         return result
 

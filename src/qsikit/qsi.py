@@ -113,20 +113,18 @@ class QsiVerdict:
 # prefilters
 
 
-def class_fraction_prefilter(chi, subgroup, profile=None, norms=None):
+def class_fraction_prefilter(chi, subgroup):
     """True iff the subgroup meets every class where chi is nonzero in a
     fraction of at least |chi(g)| / chi(1).
 
     Compared exactly: (|C meet U| chi(1) / |C|)^2 against chi(g) times
-    its conjugate. norms, when given, holds those products per class, so
-    a caller testing many subgroups against one chi computes them once.
+    its conjugate. The subgroup keeps its class-intersection profile and
+    chi its norms, so each is worked out once however many tests read it.
     """
     group = chi.group
     classes = group.conjugacy_classes()
-    if profile is None:
-        profile = group.class_intersection_profile(subgroup)
-    if norms is None:
-        norms = [value.abs_squared() for value in chi.values]
+    profile = group.class_intersection_profile(subgroup)
+    norms = chi.norms
     degree = chi.degree
     for i, value in enumerate(chi.values):
         if value.is_zero():
@@ -185,9 +183,8 @@ def _subgroup_label(subgroup, index):
 
 
 def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
-                         prefilters, norms, log):
-    """Search Irr(U) for a witness; append one log record for U. norms
-    are chi's per-class values times their conjugates.
+                         prefilters, log):
+    """Search Irr(U) for a witness; append one log record for U.
 
     U/ker(phi) is solvable iff ker(phi) holds the last term of U's derived
     series; the verifier rechecks it on the coset-action quotient."""
@@ -195,7 +192,7 @@ def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
         if not simple_subgroup_prefilter(chi, subgroup):
             log.append(PruneRecord(subgroup.order, label, "nonabelian-simple"))
             return None
-        if not class_fraction_prefilter(chi, subgroup, norms=norms):
+        if not class_fraction_prefilter(chi, subgroup):
             log.append(PruneRecord(subgroup.order, label, "class-fraction"))
             return None
     index = group.order // subgroup.order
@@ -237,8 +234,6 @@ def decide_qsi_character(group, chi, bounds=None, *, monomial=False):
     bounds = bounds or SearchBounds()
     if inner_product(chi, chi) != ONE:
         raise DomainError("decision procedures require an irreducible chi")
-    prefilters = bounds.prefilters
-    norms = [value.abs_squared() for value in chi.values]
     log = []
 
     complete = group.order <= bounds.subgroup_order
@@ -252,7 +247,7 @@ def decide_qsi_character(group, chi, bounds=None, *, monomial=False):
         label = _subgroup_label(subgroup, position)
         witness = _search_one_subgroup(
             group, chi, subgroup, label, monomial=monomial,
-            prefilters=prefilters, norms=norms, log=log)
+            prefilters=bounds.prefilters, log=log)
         if witness is not None:
             status = (STATUS_MONOMIAL
                       if witness.multiplier == 1 and witness.phi.degree == 1
@@ -331,49 +326,41 @@ def random_subgroup_sweep(group, chi, *, samples=10000, seed=0,
     # a subgroup of order > |G|/2 is the whole group (Lagrange), so None,
     # and only None, means the pair generates G
     subgroups = DistinctSubgroups(group.degree, group.order // 2)
-    seen = {}
+    seen = set()
     log = []
     unrejected = []
     whole_hits = 0
     for _ in range(samples):
         x = group.random_element(rng)
         y = group.random_element(rng)
-        candidate = subgroups.generated([x, y])
-        if candidate is False:  # built before, so its key is in seen
+        subgroup = subgroups.generated([x, y])
+        if subgroup is False:  # built before, so its key is in seen
             continue
-        if candidate is None:
+        if subgroup is None:
             whole_hits += 1
-            key = ("whole",)
-            if key in seen:
-                continue
-            seen[key] = True
-            label = f"order {group.order} (whole group)"
-            reasons = _sweep_reject_reasons(group, chi, group, None,
-                                            monomial, steinberg_prime)
-            _record_sweep(log, unrejected, group, label, reasons)
-            continue
-        profile = group.class_intersection_profile(candidate)
-        key = (candidate.order, profile)
+            subgroup, key = group, ("whole",)
+        else:
+            key = (subgroup.order, group.class_intersection_profile(subgroup))
         if key in seen:
             continue
-        seen[key] = True
-        label = f"order {candidate.order} profile#{len(seen)}"
-        reasons = _sweep_reject_reasons(group, chi, candidate, profile,
-                                        monomial, steinberg_prime)
-        _record_sweep(log, unrejected, candidate, label, reasons)
+        seen.add(key)
+        label = (f"order {group.order} (whole group)" if subgroup is group
+                 else f"order {subgroup.order} profile#{len(seen)}")
+        reasons = _sweep_reject_reasons(group, chi, subgroup, monomial,
+                                        steinberg_prime)
+        _record_sweep(log, unrejected, subgroup, label, reasons)
     status = STATUS_REFUTED_PREFILTER if not unrejected else STATUS_UNDECIDED
     verdict = QsiVerdict(chi, status, None, log)
     return SweepReport(verdict, samples, len(seen), whole_hits, unrejected)
 
 
-def _sweep_reject_reasons(group, chi, subgroup, profile, monomial,
-                          steinberg_prime):
+def _sweep_reject_reasons(group, chi, subgroup, monomial, steinberg_prime):
     reasons = []
     if monomial and group.order != subgroup.order * chi.degree:
         reasons.append("degree-incompatible")
     if not simple_subgroup_prefilter(chi, subgroup):
         reasons.append("nonabelian-simple")
-    if not class_fraction_prefilter(chi, subgroup, profile):
+    if not class_fraction_prefilter(chi, subgroup):
         reasons.append("class-fraction")
     if (steinberg_prime is not None and monomial
             and subgroup.derived_subgroup().order % steinberg_prime == 0):

@@ -521,7 +521,7 @@ def test_element_orders():
 def test_capacity_error_names_bound():
     group = a5()
     with pytest.raises(CapacityError) as err:
-        group.elements(bound=10)
+        group.conjugacy_classes(bound=10)
     assert "10" in str(err.value)
 
 
@@ -829,17 +829,46 @@ def test_lattice_walks_each_right_coset_once(monkeypatch):
         for sub in bases) == 33577
 
 
+def counting_profiles(monkeypatch):
+    """Patch class_intersection_profile to record each (group, subgroup)
+    pair whose profile it computes, rather than reads from the
+    subgroup's cache."""
+    computed = []
+    profile = PermGroup.class_intersection_profile
+
+    def counting_profile(self, sub):
+        if ("profile", self) not in sub._cache:
+            computed.append((self, sub))
+        return profile(self, sub)
+
+    monkeypatch.setattr(PermGroup, "class_intersection_profile",
+                        counting_profile)
+    return computed
+
+
+def test_profiles_are_kept_per_group(monkeypatch):
+    # one V4 against two groups: each gets its own profile, computed once
+    s4_ = s4()
+    a4 = PermGroup(4, [cyc(4, [0, 1, 2]), cyc(4, [0, 1], [2, 3])])
+    v4 = PermGroup(4, [cyc(4, [0, 1], [2, 3]), cyc(4, [0, 2], [1, 3])])
+    computed = counting_profiles(monkeypatch)
+    profiles = [group.class_intersection_profile(v4)
+                for group in (s4_, a4, s4_, a4)]
+    assert computed == [(s4_, v4), (a4, v4)]
+    assert profiles[:2] == profiles[2:]
+    for group, profile in zip((s4_, a4), profiles):
+        classes = group.conjugacy_classes()
+        assert profile == tuple(
+            sum(1 for e in v4.elements() if classes.element_to_class[e] == c)
+            for c in range(len(classes)))
+    assert profiles[0] == (1, 3, 0, 0, 0) and profiles[1] == (1, 3, 0, 0)
+
+
 def test_lattice_reuses_registered_profiles(monkeypatch):
     from qsikit import catalog
 
-    profiled = []
     built = []
-    profile_ = PermGroup.class_intersection_profile
     with_ = PermGroup._with
-
-    def counting_profile(self, sub):
-        profiled.append(sub.order)
-        return profile_(self, sub)
 
     def counting_with(self, *perms, _order_cap=None):
         result = with_(self, *perms, _order_cap=_order_cap)
@@ -847,21 +876,19 @@ def test_lattice_reuses_registered_profiles(monkeypatch):
             built.append(result.order)
         return result
 
-    monkeypatch.setattr(PermGroup, "class_intersection_profile",
-                        counting_profile)
+    computed = counting_profiles(monkeypatch)
     monkeypatch.setattr(PermGroup, "_with", counting_with)
     for name in ("A5", "PSL27", "A7"):
         source = catalog.load(name)
         group = PermGroup(source.degree, source.generators)
-        profiled.clear()
+        computed.clear()
         built.clear()
-        lattice = group.subgroups_up_to_conjugacy()
-        # register sees the trivial group, the cyclic group of each class
-        # representative and every candidate built within the cap; each
-        # registered class is a base once, whose normalizer may profile it
-        registers = 1 + len(group.conjugacy_classes()) + len(built)
-        bases = len(lattice) - 1
-        assert len(profiled) <= registers + bases, name
+        group.subgroups_up_to_conjugacy()
+        # one profile per cyclic seed (the identity's is the trivial
+        # group) and per candidate built within the cap; the conjugacy
+        # tests, the normalizers and the final sort read them back
+        assert len(computed) == (len(group.conjugacy_classes())
+                                 + len(built)), name
 
 
 def test_normalizer_of_trivial_subgroup_is_the_group():

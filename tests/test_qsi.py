@@ -8,7 +8,6 @@ from qsikit import catalog, perm, qsi
 from qsikit.chartab import (
     Character,
     character_table,
-    class_fusion,
     induce,
     induce_pointwise,
     inner_product,
@@ -322,13 +321,12 @@ def test_descent_to_intersection_with_normal_subgroup():
                  if a4.contains_tuple(t)]
     meet = PermGroup(4, meet_gens)
     assert meet.order == 4
-    fusion = class_fusion(meet, a4)
     found = False
     for phi in character_table(meet).irreducibles:
         k = (a4.order // meet.order) * phi.degree
         if k % chi_n.degree:
             continue
-        if induce(phi, a4, fusion) == (k // chi_n.degree) * chi_n:
+        if induce(phi, a4) == (k // chi_n.degree) * chi_n:
             quotient = meet.quotient(kernel(phi))
             if quotient.is_solvable():
                 found = True
@@ -443,8 +441,8 @@ def reference_random_subgroup_sweep(group, chi, *, samples, seed,
                 continue
             seen[key] = True
             label = f"order {group.order} (whole group)"
-            reasons = _sweep_reject_reasons(group, chi, group, None,
-                                            monomial, steinberg_prime)
+            reasons = _sweep_reject_reasons(group, chi, group, monomial,
+                                            steinberg_prime)
             _record_sweep(log, unrejected, group, label, reasons)
             continue
         profile = group.class_intersection_profile(candidate)
@@ -453,8 +451,8 @@ def reference_random_subgroup_sweep(group, chi, *, samples, seed,
             continue
         seen[key] = True
         label = f"order {candidate.order} profile#{len(seen)}"
-        reasons = _sweep_reject_reasons(group, chi, candidate, profile,
-                                        monomial, steinberg_prime)
+        reasons = _sweep_reject_reasons(group, chi, candidate, monomial,
+                                        steinberg_prime)
         _record_sweep(log, unrejected, candidate, label, reasons)
     status = STATUS_REFUTED_PREFILTER if not unrejected else STATUS_UNDECIDED
     verdict = QsiVerdict(chi, status, None, log)
@@ -488,16 +486,19 @@ def test_sweep_matches_reference():
 
 
 def test_sweep_builds_and_profiles_each_distinct_subgroup_once(monkeypatch):
-    # catalog PSU(4,2), St, seed 301, 10^4 samples: the sweep before the
-    # recognition made 1137 profiles and 1142 capped builds
-    group = catalog.load("PSU42")
+    # PSU(4,2), St, seed 301, 10^4 samples: the sweep before the
+    # recognition made 1137 profiles and 1142 capped builds. The group is
+    # fresh, as the catalog's may keep its own profile from an earlier test
+    from test_perm import counting_profiles
+
+    source = catalog.load("PSU42")
+    group = PermGroup(source.degree, source.generators)
     steinberg = character_table(group).unique_by_degree(81)
     half = group.order // 2
     counts = Counter()
     bounds = {}
     order_lower_bound = perm._order_lower_bound
     init = PermGroup.__init__
-    profile = PermGroup.class_intersection_profile
 
     def lower_bound(degree, gens, order_cap):
         bounds[tuple(gens)] = order_lower_bound(degree, gens, order_cap)
@@ -507,22 +508,32 @@ def test_sweep_builds_and_profiles_each_distinct_subgroup_once(monkeypatch):
         counts["build"] += _order_cap is not None
         init(self, degree, gens, _chain, _order_cap)
 
-    def counted_profile(self, sub):
-        counts["profile"] += 1
-        return profile(self, sub)
-
     monkeypatch.setattr(perm, "_order_lower_bound", lower_bound)
     monkeypatch.setattr(PermGroup, "__init__", counted_init)
-    monkeypatch.setattr(PermGroup, "class_intersection_profile",
-                        counted_profile)
+    computed = counting_profiles(monkeypatch)
     report = random_subgroup_sweep(group, steinberg, seed=301,
                                    samples=10000, monomial=True,
                                    steinberg_prime=3)
     assert (report.distinct_classes, report.whole_group_hits) == (66, 8864)
-    assert (counts["profile"], counts["build"]) == (592, 614)
+    assert (len(computed), counts["build"]) == (592, 614)
     monkeypatch.undo()
     # the bound never exceeds the order of the group the pair generates
     for gens, bound in bounds.items():
         assert bound <= group.order
         if bound <= half:
             assert bound <= PermGroup(group.degree, gens).order
+
+
+def test_decide_qsi_group_profiles_each_subgroup_once(monkeypatch):
+    # fresh groups, so that no lattice or profile is cached; profiles
+    # computed once per character and a trivial group registered twice
+    # made 204 on A6 and 745 on M11
+    from test_perm import counting_profiles
+
+    computed = counting_profiles(monkeypatch)
+    for name, expected in (("A6", 87), ("M11", 466)):
+        source = catalog.load(name)
+        group = PermGroup(source.degree, source.generators)
+        computed.clear()
+        decide_qsi_group(group)
+        assert len(computed) == len(set(computed)) == expected, name
