@@ -5,7 +5,8 @@ machine-readable JSON envelope (--json). Completed analyses exit 0 even
 when the mathematical answer is a refutation; exit 1 marks a failed
 reproduction or integrity check, exit 2 marks usage errors, unknown
 names and malformed input files, exit 3 marks capacity overruns (the
-message names the bound that was hit).
+message names the bound that was hit, which may be Python's limit on
+the digits of a printed integer).
 """
 
 from __future__ import annotations
@@ -275,6 +276,16 @@ def main(argv=None):
     except QsikitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # Python 3.10.7 and later refuse to turn an int of more than this
+        # many digits into a string, as a large Lie-type order can have
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or "integer string conversion" not in str(exc):
+            raise
+        print(f"capacity error: an integer has more than {limit} digits, "
+              f"Python's limit for integer string conversion",
+              file=sys.stderr)
+        return EXIT_CAPACITY
 
 
 if __name__ == "__main__":

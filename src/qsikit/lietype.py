@@ -108,18 +108,20 @@ def _integer_root(n, r):
 
 
 def _prime_power(q):
-    """(p, r) with q = p^r and p prime, found without factoring q: while
-    q is not prime, it is p^r with r > 1 only if it is an exact k-th
-    power for a prime k <= log2 q, whose root is then p^(r/k)."""
+    """(p, r) with q = p^r and p prime, found without factoring q: q is
+    p^r with r > 1 only if it is an exact k-th power for a prime
+    k <= log2 q, whose root is then p^(r/k). The roots are taken first,
+    so the prime test (bounded, see ``primes``) sees only p."""
     p, r = q, 1
-    while not is_prime(p):
-        for k in filter(is_prime, range(2, max(p, 1).bit_length())):
+    for k in filter(is_prime, range(2, max(q, 1).bit_length())):
+        if k >= p.bit_length():
+            break
+        root = _integer_root(p, k)
+        while root**k == p:
+            p, r = root, r * k
             root = _integer_root(p, k)
-            if root**k == p:
-                p, r = root, r * k
-                break
-        else:
-            raise DomainError(f"q = {q} is not a prime power")
+    if not is_prime(p):
+        raise DomainError(f"q = {q} is not a prime power")
     return p, r
 
 

@@ -55,7 +55,8 @@ def a5_not_qsi(*, bounds=None, samples=SWEEP_SAMPLES):
 
 def psl27_verdicts(bounds=None):
     """PSL(2,7) and its verdicts keyed by character degree: monomial for
-    the Steinberg characters of degree 7 and 8, QSI for degree 6."""
+    the Steinberg characters of degree 7 and 8, and the QSI search for
+    degree 6, which refutes it over every subgroup class."""
     group = catalog.load("PSL27")
     table = character_table(group)
     verdicts = {degree: decide_qsi_character(

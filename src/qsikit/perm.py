@@ -5,15 +5,18 @@ deterministic Schreier-Sims builder provides a base and strong generating
 set, which backs order and membership queries. It continues from any
 valid partial chain, so a point stabilizer keeps the lower levels of a
 chain based at its point, and a subgroup grown from a known one (normal
-closures, lattice candidates) continues its parent's chain. Everything
+closures, lattice candidates) continues its parent's chain. A level
+stores one element per orbit point, the inverse of its transversal
+element, since that is what sifting reads; Schreier generators, element
+enumeration and random elements invert it back. Everything
 here is exact and, for a fixed input, reproducible. The one randomized
-algorithm, a random Schreier-Sims chain drawing from a private
-fixed-seed generator, only gives a lower bound b on an order. A b above
-a cap shows that a group is too large for ``from_generators_bounded``;
-a b equal to the order of a subgroup that ``DistinctSubgroups`` built
-before, into which the generators sift, shows that the group is that
-subgroup. Every group that is built comes from the deterministic
-Schreier-Sims.
+algorithm, a random Schreier-Sims chain of the same levels drawing from a
+private fixed-seed generator, only gives a lower bound b on an order. A
+b above a cap shows that a group is too large for
+``from_generators_bounded``; a b equal to the order of a subgroup that
+``DistinctSubgroups`` built before, into which the generators sift,
+shows that the group is that subgroup. Every group that is built comes
+from the deterministic Schreier-Sims.
 
 Composition convention: ``(p * q)(i) == q(p(i))``, i.e. p acts first.
 Points are 0-based internally; the text file format uses 1-based cycles.
@@ -301,25 +304,23 @@ class _OrderCapExceeded(Exception):
 
 
 class _Level:
-    """One level of a BSGS chain: the strong generators that fix the
-    earlier base points, and the orbit of beta under them, holding one
-    transversal element and its inverse per orbit point."""
+    """One level of a BSGS chain: the base point beta, the generators
+    that grow its orbit, as pairs (g, g^-1), and one stored element per
+    orbit point a, the inverse of the transversal element t_a that takes
+    beta to a. That inverse is what ``_sift`` reads; t_a itself is
+    inverted back where it is needed."""
 
-    __slots__ = ("beta", "gens", "gen_inverses", "transversal", "inverses")
+    __slots__ = ("beta", "moves", "inverses")
 
     def __init__(self, beta, identity):
         self.beta = beta
-        self.gens = []
-        self.gen_inverses = []
-        self.transversal = {beta: identity}
+        self.moves = []
         self.inverses = {beta: identity}
 
     def copy(self):
         level = _Level.__new__(_Level)
         level.beta = self.beta
-        level.gens = list(self.gens)
-        level.gen_inverses = list(self.gen_inverses)
-        level.transversal = dict(self.transversal)
+        level.moves = list(self.moves)
         level.inverses = dict(self.inverses)
         return level
 
@@ -332,24 +333,26 @@ class _Level:
         new point's inverse is composed, (ta h)^-1 = h^-1 ta^-1, from the
         inverses already held.
         """
-        self.gens.append(g)
-        self.gen_inverses.append(g_inv)
-        transversal = self.transversal
+        self.moves.append((g, g_inv))
         inverses = self.inverses
-        frontier = list(transversal)
+        frontier = list(inverses)
         moves = ((g, g_inv),)
         while frontier:
             found = []
             for a in frontier:
-                ta = transversal[a]
+                a_inv = inverses[a]
                 for h, h_inv in moves:
                     b = h[a]
-                    if b not in transversal:
-                        transversal[b] = _compose(ta, h)
-                        inverses[b] = _compose(h_inv, inverses[a])
+                    if b not in inverses:
+                        inverses[b] = _compose(h_inv, a_inv)
                         found.append(b)
             frontier = found
-            moves = list(zip(self.gens, self.gen_inverses))
+            moves = self.moves
+
+    def transversal(self):
+        """The transversal elements t_a, in the order of sorted points a."""
+        inverses = self.inverses
+        return [_invert(inverses[a]) for a in sorted(inverses)]
 
 
 def _sift(levels, t, start=0):
@@ -382,14 +385,16 @@ def _build_bsgs(degree, gens, levels, order_cap=None):
     sorted points and then generators, through levels k + 1 onwards. The
     first non-trivial residue becomes a new strong generator and the
     loop drops to the level it sifted to. Each pair is sifted at most
-    once per build: transversal entries are only ever added, never
-    replaced, so a pair's Schreier generator and its sift path stay what
-    they were, and a pair that sifted to the identity still does (the
-    pair whose residue was just adjoined now does too, since its residue
-    is the new transversal entry of the point it reached). Skipping done
-    pairs therefore finds the same residues in the same order as
-    re-sifting each level from its first pair, and leaves every
-    transversal as it was.
+    once per build: the inverses of transversal elements are only ever
+    added, never replaced, so a pair's Schreier generator
+    t_a g t_(a^g)^-1 and its sift path stay what they were, and a pair
+    that sifted to the identity still does (the pair whose residue was
+    just adjoined now does too, since the residue's inverse is the new
+    entry of the point it reached). Skipping done pairs therefore finds
+    the same residues in the same order as re-sifting each level from
+    its first pair, and leaves every level's inverses as they were.
+    t_a is inverted from its stored inverse once per point, in each pass
+    over a level that still has pairs of that point to sift.
     """
     identity = tuple(range(degree))
     # levels above k are complete; only levels a new strong generator
@@ -398,11 +403,16 @@ def _build_bsgs(degree, gens, levels, order_cap=None):
     # sifted[k][a]: the pairs (a, j) with j below this count are done
     sifted = {}
 
-    def schreier_pairs(level, done):
-        for a in sorted(level.transversal):
-            for j in range(done.get(a, 0), len(level.gens)):
-                done[a] = j + 1
-                yield a, level.gens[j]
+    def schreier_generators(level, done):
+        inverses, moves = level.inverses, level.moves
+        for a in sorted(inverses):
+            pending = range(done.get(a, 0), len(moves))
+            if pending:
+                ta = _invert(inverses[a])
+                for j in pending:
+                    done[a] = j + 1
+                    g = moves[j][0]
+                    yield _compose(_compose(ta, g), inverses[g[a]])
 
     def add_strong_generator(t, level_index):
         # t fixes the base points before level_index
@@ -413,7 +423,7 @@ def _build_bsgs(degree, gens, levels, order_cap=None):
         for level in levels[:level_index + 1]:
             level.add_generator(t, t_inv)
         if order_cap is not None and prod(
-                len(level.transversal) for level in levels) > order_cap:
+                len(level.inverses) for level in levels) > order_cap:
             raise _OrderCapExceeded()
 
     for t in gens:
@@ -425,9 +435,7 @@ def _build_bsgs(degree, gens, levels, order_cap=None):
     # close the chain bottom-up by sifting Schreier generators
     while k >= 0:
         level = levels[k]
-        for a, g in schreier_pairs(level, sifted.setdefault(k, {})):
-            schreier = _compose(_compose(level.transversal[a], g),
-                                level.inverses[g[a]])
+        for schreier in schreier_generators(level, sifted.setdefault(k, {})):
             residue, i = _sift(levels, schreier, k + 1)
             if residue != identity:
                 add_strong_generator(residue, i)
@@ -446,40 +454,6 @@ _CERTIFICATE_SIFTS = 10
 
 # what ``_sift`` reads of a level
 _SiftLevel = collections.namedtuple("_SiftLevel", ("beta", "inverses"))
-
-
-class _LeanLevel:
-    """A level of the order certificate's partial chain: what ``_sift``
-    reads (the base point and one inverse transversal element per orbit
-    point) and the generators, with their inverses, that grow the orbit.
-    Unlike ``_Level`` it builds no forward transversal, which nothing
-    here reads."""
-
-    __slots__ = ("beta", "moves", "inverses")
-
-    def __init__(self, beta, identity):
-        self.beta = beta
-        self.moves = []
-        self.inverses = {beta: identity}
-
-    def add_generator(self, g, g_inv):
-        """Adjoin g and extend the orbit, as ``_Level.add_generator``
-        does; a new point's inverse is h^-1 ta^-1."""
-        self.moves.append((g, g_inv))
-        inverses = self.inverses
-        frontier = list(inverses)
-        moves = ((g, g_inv),)
-        while frontier:
-            found = []
-            for a in frontier:
-                a_inv = inverses[a]
-                for h, h_inv in moves:
-                    b = h[a]
-                    if b not in inverses:
-                        inverses[b] = _compose(h_inv, a_inv)
-                        found.append(b)
-            frontier = found
-            moves = self.moves
 
 
 def _product_replacement(gens, rng):
@@ -535,7 +509,7 @@ def _order_lower_bound(degree, gens, order_cap):
         # the residue fixes the base points before level i
         if i == len(levels):
             beta = next(a for a, b in enumerate(residue) if a != b)
-            levels.append(_LeanLevel(beta, identity))
+            levels.append(_Level(beta, identity))
         levels[i].add_generator(residue, _invert(residue))
         bound = prod(len(level.inverses) for level in levels)
         if bound > order_cap:
@@ -650,7 +624,7 @@ class PermGroup:
         self._levels = _build_bsgs(degree, [g.images for g in gens],
                                    [] if _chain is None else _chain,
                                    _order_cap)
-        self.order = prod(len(level.transversal) for level in self._levels)
+        self.order = prod(len(level.inverses) for level in self._levels)
         self._cache = {}
 
     # -- construction helpers
@@ -750,14 +724,14 @@ class PermGroup:
     def _transversal_product(self):
         """All elements, unsorted, as products of one transversal element
         per level, the bottom level's first. Each transversal is taken
-        in sorted order, so the enumeration order does not depend on the
-        order in which the orbit points were found."""
+        in the order of sorted points, so the enumeration order does not
+        depend on the order in which the orbit points were found."""
         elems = [tuple(range(self.degree))]
         for level in reversed(self._levels):
             # a level with a nontrivial orbit means degree > 1, so
             # itemgetter returns tuples
-            if len(level.transversal) > 1:
-                transversal = sorted(level.transversal.values())
+            if len(level.inverses) > 1:
+                transversal = level.transversal()
                 elems = [then(u) for then in (itemgetter(*h) for h in elems)
                          for u in transversal]
         return elems
@@ -768,8 +742,7 @@ class PermGroup:
         chosen by ``rng.choice`` over the level's sorted orbit points."""
         if "random_transversals" not in self._cache:
             self._cache["random_transversals"] = [
-                [level.transversal[a] for a in sorted(level.transversal)]
-                for level in reversed(self._levels)]
+                level.transversal() for level in reversed(self._levels)]
         t = tuple(range(self.degree))
         for transversal in self._cache["random_transversals"]:
             t = _compose(t, rng.choice(transversal))
@@ -908,7 +881,7 @@ class PermGroup:
                              [_Level(point, tuple(range(self.degree)))])
         # strong generators below the top level are exactly those fixing it
         chain = levels[1:]
-        gens = [Permutation(t) for t in chain[0].gens] if chain else []
+        gens = [Permutation(g) for g, _ in chain[0].moves] if chain else []
         return PermGroup(self.degree, gens, _chain=chain)
 
     def normalizer(self, sub):

@@ -9,9 +9,13 @@ import jsonschema
 import pytest
 
 import qsikit
-from qsikit import paper
+from qsikit import lietype, paper
 from qsikit.cli import main
-from qsikit.primes import _RHO_WORK
+from qsikit.primes import _PRIME_TEST_BITS, _RHO_WORK
+
+# Python's limit on the digits of an int turned into a string (0 before
+# Python 3.10.7, which has none)
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +259,16 @@ def test_fixtures_flag_is_gone(capsys):
     # the 801-bit primitive part of 2^3000 - 1 has no factor rho reaches
     (("zsigmondy", "2", "3000"), 3,
      f"Pollard rho bound of {_RHO_WORK} bit-iterations"),
-], ids=["order", "zsigmondy"])
+    # a 14 265-bit q with no perfect root and no small prime factor
+    (("order", "PSL", "2", str(3**9000 + 2)), 3,
+     f"primality test bound of {_PRIME_TEST_BITS} bits"),
+    # the simple orders of E8(2^60) and E8(2^131) have over 4 300 digits
+    (("order", "E8", str(2**60)), 3,
+     f"more than {INT_MAX_STR_DIGITS} digits"),
+    (("eliminate", "E8", str(2**131), "--json"), 3,
+     f"more than {INT_MAX_STR_DIGITS} digits"),
+], ids=["order", "zsigmondy", "prime-test-bound", "e8-order-digits",
+        "e8-eliminate-digits"])
 def test_large_lie_type_inputs_return_at_once(argv, code, message):
     src = Path(qsikit.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -265,6 +278,14 @@ def test_large_lie_type_inputs_return_at_once(argv, code, message):
     assert result.returncode == code
     assert result.stdout == ""
     assert message in result.stderr
+
+
+def test_other_value_errors_are_raised(monkeypatch):
+    def group_order(tag, n, q):
+        raise ValueError("a bug, not a digit limit")
+    monkeypatch.setattr(lietype, "group_order", group_order)
+    with pytest.raises(ValueError, match="a bug, not a digit limit"):
+        main(["order", "PSL", "2", "7"])
 
 
 def test_table_of_a_directory_is_usage_error(capsys, tmp_path):

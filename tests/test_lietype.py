@@ -181,6 +181,8 @@ def test_large_prime_powers_recognised():
     p = 2**61 - 1
     for r in (1, 2, 3, 6):
         assert steinberg_degree("PSL", 2, p**r) == p**r
+    # 4270 bits, past the prime test's bound, and p^70 is found by roots
+    assert steinberg_degree("PSL", 2, p**70) == p**70
     assert steinberg_degree("2B2", 0, 2**201) == 2**402
     for q in (p * (2**89 - 1), 3 * p**2, p**2 * (p + 2), 36):
         with pytest.raises(DomainError, match="is not a prime power"):

@@ -1067,8 +1067,10 @@ def test_bsgs_chains_are_pinned():
         # a chain continued from a built one, as the lattice grows them
         grown = group._with(random_transposition_product(rng, n))
         for g in (group, grown):
-            chains.append([(level.beta, sorted(level.transversal.items()))
-                           for level in g._levels])
+            chains.append([
+                (level.beta, sorted((a, _invert(inverse))
+                                    for a, inverse in level.inverses.items()))
+                for level in g._levels])
     digest = hashlib.sha256(repr(chains).encode()).hexdigest()
     assert digest == PINNED_CHAINS_SHA256
 

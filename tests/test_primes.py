@@ -3,12 +3,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
+import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint, isprime, nextprime
 from sympy import primitive_root as sympy_primitive_root
 
 import qsikit
-from qsikit.primes import _pollard_pm1, is_prime, prime_factors, primitive_root
+from qsikit.errors import CapacityError
+from qsikit.primes import (
+    _PRIME_TEST_BITS,
+    _pollard_pm1,
+    is_prime,
+    prime_factors,
+    primitive_root,
+)
 
 # is_prime switches from Miller-Rabin to strong BPSW at this bound
 MR_EXACT_BELOW = 3317044064679887385961981
@@ -86,6 +95,23 @@ def test_strong_pseudoprimes_are_composite():
     # the bound itself is a strong pseudoprime to every base below 43,
     # so only the BPSW branch can reject it
     assert STRONG_PSEUDOPRIMES[-1] == MR_EXACT_BELOW
+
+
+def test_is_prime_refuses_numbers_above_its_bit_bound():
+    assert _PRIME_TEST_BITS == 4096
+    # the 4096-bit safe prime of RFC 3526's MODP group 16
+    with mpmath.workprec(4200):
+        pi_bits = int(mpmath.floor(mpmath.ldexp(mpmath.pi, 3966)))
+    p = 2**4096 - 2**4032 - 1 + 2**64 * (pi_bits + 240904)
+    assert p.bit_length() == 4096
+    assert is_prime(p)
+    # the Fermat number 2^4096 + 1 (4097 bits) has no prime factor below
+    # 1000, so only the bound stops the test
+    with pytest.raises(CapacityError, match="bound of 4096 bits") as exc:
+        is_prime(2**4096 + 1)
+    assert exc.value.bound == _PRIME_TEST_BITS
+    # trial division still answers above the bound
+    assert not is_prime(3 * 2**5000)
 
 
 @budget
