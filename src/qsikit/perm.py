@@ -392,25 +392,27 @@ def _build_bsgs(degree, gens, levels, order_cap=None):
     just adjoined now does too, since the residue's inverse is the new
     entry of the point it reached). Skipping done pairs therefore finds
     the same residues in the same order as re-sifting each level from
-    its first pair, and leaves every level's inverses as they were.
-    t_a is inverted from its stored inverse once per point, in each pass
-    over a level that still has pairs of that point to sift.
+    its first pair, and leaves every level's inverses as they were. For
+    the same reason t_a, inverted from its stored inverse when the first
+    pair of point a is sifted, is kept for the rest of the build.
     """
     identity = tuple(range(degree))
     # levels above k are complete; only levels a new strong generator
     # joined need their Schreier generators sifted
     k = -1
-    # sifted[k][a]: the pairs (a, j) with j below this count are done
+    # sifted[k][a]: (count, t_a), where the pairs (a, j) with j below
+    # count are done
     sifted = {}
 
     def schreier_generators(level, done):
         inverses, moves = level.inverses, level.moves
         for a in sorted(inverses):
-            pending = range(done.get(a, 0), len(moves))
-            if pending:
-                ta = _invert(inverses[a])
-                for j in pending:
-                    done[a] = j + 1
+            start, ta = done.get(a, (0, None))
+            if start < len(moves):
+                if ta is None:
+                    ta = _invert(inverses[a])
+                for j in range(start, len(moves)):
+                    done[a] = (j + 1, ta)
                     g = moves[j][0]
                     yield _compose(_compose(ta, g), inverses[g[a]])
 
@@ -713,28 +715,35 @@ class PermGroup:
                 f"group order {self.order} exceeds the element enumeration "
                 f"bound {ELEMENT_ENUMERATION_BOUND}",
                 bound=ELEMENT_ENUMERATION_BOUND)
-        elems = self._transversal_product()
-        elems.sort()
-        result = tuple(elems)
+        result = tuple(sorted(self._transversal_product()))
         if len(result) != self.order:
             raise IntegrityError("element enumeration does not match order")
         self._cache["elements"] = result
         return result
 
     def _transversal_product(self):
-        """All elements, unsorted, as products of one transversal element
-        per level, the bottom level's first. Each transversal is taken
-        in the order of sorted points, so the enumeration order does not
-        depend on the order in which the orbit points were found."""
-        elems = [tuple(range(self.degree))]
-        for level in reversed(self._levels):
-            # a level with a nontrivial orbit means degree > 1, so
-            # itemgetter returns tuples
-            if len(level.inverses) > 1:
-                transversal = level.transversal()
-                elems = [then(u) for then in (itemgetter(*h) for h in elems)
-                         for u in transversal]
-        return elems
+        """A walk of all elements, unsorted, as products of one
+        transversal element per level, the bottom level's first. Each
+        transversal is taken in the order of sorted points, so the walk's
+        order does not depend on the order in which the orbit points were
+        found.
+
+        Only the heads, the products over every level but the top one,
+        are listed; the walk sends each head through the top transversal
+        with one C-level ``map``, so G itself is never held."""
+        levels = [level for level in self._levels if len(level.inverses) > 1]
+        if not levels:
+            return iter((tuple(range(self.degree)),))
+        # a level with a nontrivial orbit means degree > 1, so itemgetter
+        # returns tuples
+        heads = [tuple(range(self.degree))]
+        for level in reversed(levels[1:]):
+            transversal = level.transversal()
+            heads = [then(u) for then in (itemgetter(*h) for h in heads)
+                     for u in transversal]
+        return itertools.chain.from_iterable(map(
+            map, itertools.starmap(itemgetter, heads),
+            itertools.repeat(levels[0].transversal())))
 
     def random_element(self, rng):
         """Uniformly random element via the BSGS coset decomposition: one
@@ -751,46 +760,64 @@ class PermGroup:
     # -- conjugacy classes
 
     def conjugacy_classes(self, bound=ELEMENT_ENUMERATION_BOUND):
-        """Orbits of conjugation by the generators over the enumeration
-        at hand: the cached ``elements()``, else the unsorted transversal
-        product, so G is sorted only for ``elements()``. A repeat in the
-        enumeration fails the class-size sum."""
+        """Orbits of conjugation by the generators, found along a walk of
+        the group: the cached ``elements()``, else the unsorted
+        ``_transversal_product``, so G is sorted only for ``elements()``
+        and is otherwise held once, as the keys of ``element_to_class``.
+
+        That map is the visited set. A walked element with no mark starts
+        a class: it gets the class's raw index k, and each conjugate its
+        breadth-first pass finds gets ~k until the walk reaches it. So a
+        walked element that already holds k was walked before, and a ~k
+        left when the walk ends marks an element the walk missed; both
+        raise IntegrityError, as does a class-size sum off the order.
+        The classes are then sorted and the raw indices remapped in
+        place."""
         if "classes" in self._cache:
             return self._cache["classes"]
         if self.order > bound:
             raise CapacityError(
                 f"group order {self.order} exceeds the element enumeration "
                 f"bound {bound} for conjugacy classes", bound=bound)
-        elems = self._cache.get("elements")
-        if elems is None:
-            elems = self._transversal_product()
+        walk = self._cache.get("elements")
+        if walk is None:
+            walk = self._transversal_product()
         moves = _conjugation_moves(self.generators)
-        unassigned = set(elems)
+        element_to_class = {}
         raw_classes = []
-        for e in elems:
-            if e not in unassigned:
-                continue
-            unassigned.remove(e)
-            members = [e]
-            for x in members:  # breadth first, as in conjugator
-                then = itemgetter(*x)
-                for g, back in moves:
-                    y = back(then(g))
-                    if y in unassigned:
-                        unassigned.remove(y)
-                        members.append(y)
-            members.sort()
-            raw_classes.append(members)
-        del unassigned, elems  # before element_to_class holds G again
+        for walked, e in enumerate(walk, 1):
+            mark = element_to_class.get(e)
+            if mark is None:
+                k = len(raw_classes)
+                element_to_class[e] = k
+                pending = ~k
+                members = [e]
+                for x in members:  # breadth first, as in conjugator
+                    then = itemgetter(*x)
+                    for g, back in moves:
+                        y = back(then(g))
+                        if y not in element_to_class:
+                            element_to_class[y] = pending
+                            members.append(y)
+                members.sort()
+                raw_classes.append(tuple(members))
+            elif mark < 0:
+                element_to_class[e] = ~mark
+            else:
+                raise IntegrityError("element enumeration repeats an element")
+        if walked != len(element_to_class):
+            raise IntegrityError("element enumeration misses an element")
         raw_classes.sort(key=lambda members: (
             Permutation(members[0]).order(), len(members), members[0]))
-        element_to_class = {}
         for index, members in enumerate(raw_classes):
-            element_to_class.update(dict.fromkeys(members, index))
+            # a class's own members hold its raw index until this update
+            if element_to_class[members[0]] != index:
+                element_to_class.update(
+                    zip(members, itertools.repeat(index)))
         result = ConjugacyClassSet(
             self, tuple(Permutation(members[0]) for members in raw_classes),
             tuple(map(len, raw_classes)), element_to_class,
-            tuple(map(tuple, raw_classes)))
+            tuple(raw_classes))
         if sum(result.sizes) != self.order:
             raise IntegrityError("class sizes do not sum to the group order")
         self._cache["classes"] = result
@@ -923,8 +950,9 @@ class PermGroup:
     # -- subgroup enumeration
 
     def class_intersection_profile(self, sub):
-        """Per-class element counts |C intersect sub| for a subgroup, over
-        its unsorted elements, which are not cached.
+        """Per-class element counts |C intersect sub| for a subgroup, read
+        off the walk of its elements as it comes, so they are neither
+        listed nor cached.
 
         It is kept in sub's cache, keyed by this group object (not its
         id, which a later group can reuse), so each pair counts once."""

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -496,12 +497,56 @@ def test_classes_match_reference():
 
 def test_classes_reject_an_enumeration_with_a_repeat(monkeypatch):
     group = uncached(m11())
-    elems = group._transversal_product()
+    elems = list(group._transversal_product())
     # every other element stays, so each class is still reached
     broken = elems[:-1] + elems[:1]
     monkeypatch.setattr(group, "_transversal_product", lambda: broken)
     with pytest.raises(IntegrityError):
         group.conjugacy_classes()
+
+
+def test_classes_reject_an_enumeration_that_drops_an_element(monkeypatch):
+    group = uncached(m11())
+    elems = list(group._transversal_product())
+    # the dropped element's class is still reached from its other members
+    dropped = next(e for e in elems if Permutation(e).order() == 11)
+    broken = [e for e in elems if e != dropped]
+    monkeypatch.setattr(group, "_transversal_product", lambda: broken)
+    with pytest.raises(IntegrityError):
+        group.conjugacy_classes()
+
+
+def test_classes_reject_an_enumeration_with_a_non_element(monkeypatch):
+    group = uncached(a5())
+    elems = list(group._transversal_product())
+    # an odd permutation, so none of its conjugates lies in A5 either
+    outsider = cyc(5, [0, 1]).images
+    assert outsider not in group
+    broken = elems[:30] + [outsider] + elems[30:]
+    monkeypatch.setattr(group, "_transversal_product", lambda: broken)
+    with pytest.raises(IntegrityError):
+        group.conjugacy_classes()
+
+
+def test_classes_hold_the_group_once():
+    """The traced peak while the classes are found is at most 1.25 times
+    what the result retains: G is held once, as the keys of
+    element_to_class, and never also as a list or a visited set."""
+    from qsikit import catalog
+
+    for group_id in ("A8", "M11", "PSU42"):
+        group = uncached(catalog.load(group_id))
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            group.conjugacy_classes()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak - before <= 1.25 * (retained - before), group_id
 
 
 def test_identity_class_first():
