@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
-from operator import itemgetter
 
 from .cyclotomic import Cyclotomic, ONE, ZERO
 from .errors import DomainError, IntegrityError
@@ -254,13 +253,13 @@ def _modulus_for(group, exponent, class_count):
 def _class_column(classes, i, l, inverse_class):
     """Column l of class matrix i, as {j: #{x in C_i : x^-1 z_l in C_j}}.
 
-    x^-1 z_l is the inverse of z_l^-1 x, so its class is the inverse
-    class of z_l^-1 x: one getter for z_l^-1, mapped over C_i.
+    x^-1 z_l is the inverse of z_l^-1 x, which is conjugate to x z_l^-1,
+    so its class is the inverse class of x z_l^-1: one product with
+    z_l^-1 per member of C_i, mapped over the class's keys in C.
     """
-    # k > 1, so the degree is at least 2 and the getter returns a tuple
-    getter = itemgetter(*_invert(classes.representatives[l].images))
-    counts = Counter(map(classes.element_to_class.__getitem__,
-                         map(getter, classes.class_elements[i])))
+    times = classes.form.times(_invert(classes.representatives[l].images))
+    counts = Counter(classes.classes_of(
+        map(times, classes.class_elements[i])))
     return {inverse_class[j]: count for j, count in counts.items()}
 
 
@@ -277,7 +276,7 @@ def character_table(group):
         return table
 
     p = _modulus_for(group, lcm(*classes.rep_orders), k)
-    inverse_class = [classes.element_to_class[_invert(rep.images)]
+    inverse_class = [classes.class_of(_invert(rep.images))
                      for rep in classes.representatives]
 
     # split the common eigenspaces by the class matrices, smallest class
@@ -383,23 +382,26 @@ def _table_from_spaces(group, spaces, p, inverse_class):
                 raise IntegrityError(
                     "table rows fail the first orthogonality relation mod p")
 
-    irreducibles = []
+    # per class of order m: the classes of rep^s for s < m, and the
+    # powers theta^r (r < m) of theta = z^((p-1)/m), which has order m;
+    # both serve every irreducible
     z = primitive_root(p)
+    roots = {}
+    for m in set(classes.rep_orders):
+        theta = pow(z, (p - 1) // m, p)
+        roots[m] = [pow(theta, r, p) for r in range(m)]
+    lifts = [([classes.class_of((rep ** s).images) for s in range(m)],
+              roots[m], pow(m, -1, p))
+             for rep, m in zip(classes.representatives, classes.rep_orders)]
+    irreducibles = []
     for degree, values_mod_p in rows:
         values = []
-        for j in range(k):
-            rep = classes.representatives[j]
-            m = classes.rep_orders[j]
-            power_classes = [classes.element_to_class[(rep ** s).images]
-                             for s in range(m)]
-            theta = pow(z, (p - 1) // m, p)
-            m_inv = pow(m, -1, p)
+        for power_classes, powers, m_inv in lifts:
+            m = len(power_classes)
+            point = [values_mod_p[c] for c in power_classes]
             multiplicities = []
             for t in range(m):
-                c = 0
-                for s in range(m):
-                    c = (c + values_mod_p[power_classes[s]]
-                         * pow(theta, (-t * s) % (p - 1), p)) % p
+                c = sum(v * powers[-t * s % m] for s, v in enumerate(point))
                 multiplicities.append((c * m_inv) % p)
             if sum(multiplicities) != degree:
                 raise IntegrityError(
@@ -446,7 +448,7 @@ def class_fusion(subgroup, group):
     s_classes = subgroup.conjugacy_classes()
     fusion = []
     for rep, rep_order in zip(s_classes.representatives, s_classes.rep_orders):
-        target = g_classes.element_to_class[rep.images]
+        target = g_classes.class_of(rep.images)
         if g_classes.rep_orders[target] != rep_order:
             raise IntegrityError("fusion mismatched element orders")
         fusion.append(target)
@@ -492,20 +494,20 @@ def induce_pointwise(phi, group):
     x^(tu) = (x^t)^u lies in U exactly when x^t does, and in the same
     U-class. T holds the least element of each coset
     (`perm._least_coset_transversal`, which checks |T| |U| = |G|).
-    Each x^t is looked up in U's element-to-class map, which holds every
-    element of U: a miss means x^t is not in U.
+    Each x^t is looked up among U's classes, which hold every element of
+    U: a miss means x^t is not in U.
     """
     subgroup = phi.group
     if not subgroup.is_subgroup_of(group):
         raise DomainError("induction requires a subgroup")
     g_classes = group.conjugacy_classes()
-    s_lookup = subgroup.conjugacy_classes().element_to_class
+    class_of = subgroup.conjugacy_classes().class_of
     moves = [(t, _invert(t))
-             for t in _least_coset_transversal(group, s_lookup)]
+             for t in _least_coset_transversal(group, subgroup.elements())]
     values = []
     for rep in g_classes.representatives:
         x = rep.images
-        hits = Counter(s_lookup.get(_compose(_compose(t_inv, x), t))
+        hits = Counter(class_of(_compose(_compose(t_inv, x), t))
                        for t, t_inv in moves)
         hits.pop(None, None)  # the x^t outside U
         total = ZERO

@@ -151,7 +151,8 @@ def m11_pairs():
                  if order == n for e in members]
              for n in (8, 11)}
     rng = random.Random(8)
-    pairs = [(rng.choice(pools[8]), rng.choice(pools[11]))
+    images = classes.form.images
+    pairs = [(images(rng.choice(pools[8])), images(rng.choice(pools[11])))
              for _ in range(200)]
     return group, pairs
 
@@ -183,8 +184,7 @@ def restriction_identity(n):
     values = [None] * len(e_classes)
     for i, rep in enumerate(s_classes.representatives):
         extended = rep.images + (n - 2, n - 1)
-        values[e_classes.element_to_class[extended]] = \
-            chi_small_own.values[i]
+        values[e_classes.class_of(extended)] = chi_small_own.values[i]
     chi_small = Character(embedded, values)
     expected = chi_small + 2 * trivial_character(embedded)
     return restrict(chi_big, embedded) == expected

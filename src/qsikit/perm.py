@@ -20,10 +20,15 @@ from the deterministic Schreier-Sims.
 
 Composition convention: ``(p * q)(i) == q(p(i))``, i.e. p acts first.
 Points are 0-based internally; the text file format uses 1-based cycles.
-Internally a permutation is its image tuple, and "p then q" is
-``operator.itemgetter(*p)(q)``: one C-level call that indexes q at every
-image of p, which is what every layer above (sifting, orbits, element and
-class enumeration, class matrices) spends its time on.
+Sifting, orbits and element lists hold a permutation as its image tuple,
+and "p then q" is ``operator.itemgetter(*p)(q)``: one C-level call that
+indexes q at every image of p. Where a whole group is walked (conjugacy
+classes, class-intersection profiles, class matrices), an element is
+named by a key that one owner, ``_element_form``, chooses from the
+degree: ``bytes(images)`` on at most 256 points, one byte per point,
+with "p then q" as ``p.translate(table of q)``, and the image tuple
+above that. Bytes compare as the equal-length tuples of their values,
+so every sort and least element is the same in either form.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import itertools
 import random
 import re
 from math import gcd, prod
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 
 from .errors import (
     CapacityError,
@@ -100,6 +105,101 @@ def _least_coset_transversal(group, sub_elements):
     if len(transversal) * len(sub_elements) != group.order:
         raise IntegrityError("coset transversal size check failed")
     return transversal
+
+
+# ---------------------------------------------------------------------------
+# element keys
+
+
+def _element_form(degree):
+    """The keys that name the elements of a group of this degree wherever
+    the whole group is walked, and composition with them: bytes on at
+    most 256 points, the most ``bytes.translate`` indexes, else image
+    tuples."""
+    return _PackedForm(degree) if degree <= 256 else _TupleForm()
+
+
+class _PackedForm:
+    """Elements on n <= 256 points, each named by bytes(images). "x then
+    u" is ``x.translate(table)``, where the table of u is bytes(u) padded
+    to 256 bytes with the fixed points n..255: one C call per product."""
+
+    __slots__ = ("pad",)
+
+    key = bytes  # images -> key
+    images = tuple  # key -> images
+
+    def __init__(self, degree):
+        self.pad = bytes(range(degree, 256))
+
+    def table(self, images):
+        """The right operand of a product with the element of these
+        images."""
+        return bytes(images) + self.pad
+
+    @staticmethod
+    def after(x):
+        """The map from the table of u to the key of x then u."""
+        return x.translate
+
+    def times(self, t):
+        """A C-level map from the key of x to the key of an element in the
+        class of x then t: here x then t itself."""
+        return methodcaller("translate", self.table(t))
+
+    def moves(self, perms):
+        """What ``orbit`` conjugates by: the key of g^-1 and the table of
+        g, per g in perms."""
+        return [(bytes(_invert(g.images)), self.table(g.images))
+                for g in perms]
+
+    def orbit(self, e, moves, marks, mark):
+        """The conjugates of e by the moves' elements, breadth first from
+        e, which marks holds: each one that marks lacks is listed and
+        given mark, and the pass goes on from it."""
+        pad = self.pad
+        members = [e]
+        for x in members:  # reaches what it appends
+            table = x + pad
+            for g_inv, g_table in moves:
+                y = g_inv.translate(table).translate(g_table)  # g^-1 x g
+                if y not in marks:
+                    marks[y] = mark
+                    members.append(y)
+        return members
+
+
+class _TupleForm:
+    """Elements named by their image tuples, on any degree, with "x then
+    u" as ``itemgetter(*x)(u)``; the methods are those of
+    ``_PackedForm``."""
+
+    __slots__ = ()
+
+    key = images = table = tuple
+
+    @staticmethod
+    def after(x):
+        return itemgetter(*x)
+
+    @staticmethod
+    def times(t):
+        # t then x, the conjugate of x then t by x
+        return itemgetter(*t)
+
+    moves = staticmethod(_conjugation_moves)
+
+    @staticmethod
+    def orbit(e, moves, marks, mark):
+        members = [e]
+        for x in members:  # reaches what it appends
+            then = itemgetter(*x)
+            for g, back in moves:
+                y = back(then(g))
+                if y not in marks:
+                    marks[y] = mark
+                    members.append(y)
+        return members
 
 
 class Permutation:
@@ -394,7 +494,9 @@ def _build_bsgs(degree, gens, levels, order_cap=None):
     the same residues in the same order as re-sifting each level from
     its first pair, and leaves every level's inverses as they were. For
     the same reason t_a, inverted from its stored inverse when the first
-    pair of point a is sifted, is kept for the rest of the build.
+    pair of point a is sifted, is kept for the rest of the build, and the
+    pairs of the chain the build starts from, which sifted to the
+    identity when that chain was completed, start out done.
     """
     identity = tuple(range(degree))
     # levels above k are complete; only levels a new strong generator
@@ -402,7 +504,8 @@ def _build_bsgs(degree, gens, levels, order_cap=None):
     k = -1
     # sifted[k][a]: (count, t_a), where the pairs (a, j) with j below
     # count are done
-    sifted = {}
+    sifted = {k: dict.fromkeys(level.inverses, (len(level.moves), None))
+              for k, level in enumerate(levels)}
 
     def schreier_generators(level, done):
         inverses, moves = level.inverses, level.moves
@@ -525,9 +628,13 @@ def _order_lower_bound(degree, gens, order_cap):
 class ConjugacyClassSet:
     """Conjugacy classes of a fully enumerated group.
 
-    Each class is sorted, so its representative, the first member, is
-    lex-min. Classes are sorted by (element order, class size,
-    representative); the identity class is therefore always first.
+    ``class_elements`` holds each class's members sorted, named by the
+    keys of the group's element ``form`` (see ``_element_form``): bytes
+    on at most 256 points, image tuples above. The first member, the
+    representative, is therefore lex-min. Classes are sorted by (element
+    order, class size, representative); the identity class is therefore
+    always first. ``class_of`` finds an element's class from its image
+    tuple, and ``classes_of`` maps keys to classes in C.
 
     Two lookups for conjugacy tests are built on first use only, so a
     group that needs just its classes (a character table) never pays
@@ -536,23 +643,34 @@ class ConjugacyClassSet:
     representative i.
     """
 
-    __slots__ = ("group", "representatives", "sizes", "element_to_class",
-                 "class_elements", "rep_orders", "_conjugators",
+    __slots__ = ("group", "form", "class_elements", "representatives",
+                 "sizes", "rep_orders", "_key_to_class", "_conjugators",
                  "_centralizers")
 
-    def __init__(self, group, representatives, sizes, element_to_class,
-                 class_elements):
+    def __init__(self, group, form, class_elements, key_to_class):
         self.group = group
-        self.representatives = representatives
-        self.sizes = sizes
-        self.element_to_class = element_to_class
+        self.form = form
         self.class_elements = class_elements
-        self.rep_orders = tuple(r.order() for r in representatives)
+        self.representatives = tuple(
+            Permutation._unchecked(form.images(members[0]))
+            for members in class_elements)
+        self.sizes = tuple(map(len, class_elements))
+        self.rep_orders = tuple(r.order() for r in self.representatives)
+        self._key_to_class = key_to_class
         self._conjugators = None
         self._centralizers = {}
 
     def __len__(self):
         return len(self.representatives)
+
+    def class_of(self, images):
+        """The index of the class of the element with these images, or
+        None if the group lacks it."""
+        return self._key_to_class.get(self.form.key(images))
+
+    def classes_of(self, keys):
+        """The class index of each of the form's keys, as they come."""
+        return map(self._key_to_class.__getitem__, keys)
 
     def conjugator(self, z):
         """An image tuple t with rep^t == z, rep the representative of z's
@@ -715,35 +833,36 @@ class PermGroup:
                 f"group order {self.order} exceeds the element enumeration "
                 f"bound {ELEMENT_ENUMERATION_BOUND}",
                 bound=ELEMENT_ENUMERATION_BOUND)
-        result = tuple(sorted(self._transversal_product()))
+        result = tuple(sorted(self._transversal_product(_TupleForm())))
         if len(result) != self.order:
             raise IntegrityError("element enumeration does not match order")
         self._cache["elements"] = result
         return result
 
-    def _transversal_product(self):
-        """A walk of all elements, unsorted, as products of one
-        transversal element per level, the bottom level's first. Each
-        transversal is taken in the order of sorted points, so the walk's
-        order does not depend on the order in which the orbit points were
-        found.
+    def _transversal_product(self, form):
+        """A walk of all elements, unsorted, named by the keys of form, as
+        products of one transversal element per level, the bottom
+        level's first. Each transversal is taken in the order of sorted
+        points, so the walk's order does not depend on the order in which
+        the orbit points were found, nor on the form.
 
         Only the heads, the products over every level but the top one,
         are listed; the walk sends each head through the top transversal
         with one C-level ``map``, so G itself is never held."""
+        heads = [form.key(range(self.degree))]
         levels = [level for level in self._levels if len(level.inverses) > 1]
         if not levels:
-            return iter((tuple(range(self.degree)),))
+            return iter(heads)
         # a level with a nontrivial orbit means degree > 1, so itemgetter
         # returns tuples
-        heads = [tuple(range(self.degree))]
         for level in reversed(levels[1:]):
-            transversal = level.transversal()
-            heads = [then(u) for then in (itemgetter(*h) for h in heads)
-                     for u in transversal]
+            tables = list(map(form.table, level.transversal()))
+            heads = [then(u) for then in map(form.after, heads)
+                     for u in tables]
         return itertools.chain.from_iterable(map(
-            map, itertools.starmap(itemgetter, heads),
-            itertools.repeat(levels[0].transversal())))
+            map, map(form.after, heads),
+            itertools.repeat(list(map(form.table,
+                                      levels[0].transversal())))))
 
     def random_element(self, rng):
         """Uniformly random element via the BSGS coset decomposition: one
@@ -760,64 +879,53 @@ class PermGroup:
     # -- conjugacy classes
 
     def conjugacy_classes(self, bound=ELEMENT_ENUMERATION_BOUND):
-        """Orbits of conjugation by the generators, found along a walk of
-        the group: the cached ``elements()``, else the unsorted
-        ``_transversal_product``, so G is sorted only for ``elements()``
-        and is otherwise held once, as the keys of ``element_to_class``.
+        """Orbits of conjugation by the generators, found along the
+        unsorted ``_transversal_product`` walk in the keys of the group's
+        ``_element_form``, so G is held once, as the keys of the class
+        map: on at most 256 points a conjugate costs two
+        ``bytes.translate`` calls and a key one byte per point.
 
-        That map is the visited set. A walked element with no mark starts
-        a class: it gets the class's raw index k, and each conjugate its
-        breadth-first pass finds gets ~k until the walk reaches it. So a
-        walked element that already holds k was walked before, and a ~k
-        left when the walk ends marks an element the walk missed; both
-        raise IntegrityError, as does a class-size sum off the order.
-        The classes are then sorted and the raw indices remapped in
-        place."""
+        The class map is the visited set. A walked element with no mark
+        starts a class: it gets the class's raw index k, and each
+        conjugate its breadth-first pass finds gets ~k until the walk
+        reaches it. So a walked element that already holds k was walked
+        before, and a ~k left when the walk ends marks an element the
+        walk missed; both raise IntegrityError, as does a class-size sum
+        off the order. The classes are then sorted and the raw indices
+        remapped in place."""
         if "classes" in self._cache:
             return self._cache["classes"]
         if self.order > bound:
             raise CapacityError(
                 f"group order {self.order} exceeds the element enumeration "
                 f"bound {bound} for conjugacy classes", bound=bound)
-        walk = self._cache.get("elements")
-        if walk is None:
-            walk = self._transversal_product()
-        moves = _conjugation_moves(self.generators)
-        element_to_class = {}
+        form = _element_form(self.degree)
+        moves = form.moves(self.generators)
+        key_to_class = {}
         raw_classes = []
-        for walked, e in enumerate(walk, 1):
-            mark = element_to_class.get(e)
+        for walked, e in enumerate(self._transversal_product(form), 1):
+            mark = key_to_class.get(e)
             if mark is None:
                 k = len(raw_classes)
-                element_to_class[e] = k
-                pending = ~k
-                members = [e]
-                for x in members:  # breadth first, as in conjugator
-                    then = itemgetter(*x)
-                    for g, back in moves:
-                        y = back(then(g))
-                        if y not in element_to_class:
-                            element_to_class[y] = pending
-                            members.append(y)
+                key_to_class[e] = k
+                members = form.orbit(e, moves, key_to_class, ~k)
                 members.sort()
                 raw_classes.append(tuple(members))
             elif mark < 0:
-                element_to_class[e] = ~mark
+                key_to_class[e] = ~mark
             else:
                 raise IntegrityError("element enumeration repeats an element")
-        if walked != len(element_to_class):
+        if walked != len(key_to_class):
             raise IntegrityError("element enumeration misses an element")
         raw_classes.sort(key=lambda members: (
-            Permutation(members[0]).order(), len(members), members[0]))
+            Permutation._unchecked(form.images(members[0])).order(),
+            len(members), members[0]))
         for index, members in enumerate(raw_classes):
             # a class's own members hold its raw index until this update
-            if element_to_class[members[0]] != index:
-                element_to_class.update(
-                    zip(members, itertools.repeat(index)))
-        result = ConjugacyClassSet(
-            self, tuple(Permutation(members[0]) for members in raw_classes),
-            tuple(map(len, raw_classes)), element_to_class,
-            tuple(raw_classes))
+            if key_to_class[members[0]] != index:
+                key_to_class.update(zip(members, itertools.repeat(index)))
+        result = ConjugacyClassSet(self, form, tuple(raw_classes),
+                                   key_to_class)
         if sum(result.sizes) != self.order:
             raise IntegrityError("class sizes do not sum to the group order")
         self._cache["classes"] = result
@@ -951,8 +1059,8 @@ class PermGroup:
 
     def class_intersection_profile(self, sub):
         """Per-class element counts |C intersect sub| for a subgroup, read
-        off the walk of its elements as it comes, so they are neither
-        listed nor cached.
+        off the walk of its elements in the classes' keys as it comes,
+        so they are neither listed nor cached.
 
         It is kept in sub's cache, keyed by this group object (not its
         id, which a later group can reuse), so each pair counts once."""
@@ -960,8 +1068,8 @@ class PermGroup:
         if key not in sub._cache:
             classes = self.conjugacy_classes()
             counts = [0] * len(classes)
-            for c in map(classes.element_to_class.__getitem__,
-                         sub._transversal_product()):
+            for c in classes.classes_of(sub._transversal_product(
+                    classes.form)):
                 counts[c] += 1
             sub._cache[key] = tuple(counts)
         return sub._cache[key]
@@ -980,18 +1088,18 @@ class PermGroup:
         if not a.generators:
             return iter(self.elements())
         classes = self.conjugacy_classes()
-        element_to_class = classes.element_to_class
         b_elems = b.elements()
         b_profile = self.class_intersection_profile(b)
         a_gens = [g.images for g in a.generators]
 
         def cost(x):
-            c = element_to_class[x]
+            c = classes.class_of(x)
             return b_profile[c] * (self.order // classes.sizes[c])
 
         x = min(a_gens, key=cost)
-        c = element_to_class[x]
-        targets = [y for y in b_elems if element_to_class[y] == c]
+        c = classes.class_of(x)
+        b_classes = classes.classes_of(map(classes.form.key, b_elems))
+        targets = [y for y, cy in zip(b_elems, b_classes) if cy == c]
         if not targets:
             return iter(())
         b_set = set(b_elems)
@@ -1152,7 +1260,7 @@ class DistinctSubgroups:
         if group.order != bound and self._known(group.order, images):
             return False
         # bytes hold a point below 256 in one byte, a tuple in eight
-        pack = bytes if self.degree <= 256 else tuple
+        pack = _element_form(self.degree).key
         self._chains.setdefault(group.order, []).append(
             [_SiftLevel(level.beta, {a: pack(inverse) for a, inverse
                                      in level.inverses.items()})

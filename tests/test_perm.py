@@ -14,7 +14,6 @@ from qsikit.errors import (
 )
 from qsikit.perm import (
     ELEMENT_ENUMERATION_BOUND,
-    ConjugacyClassSet,
     DistinctSubgroups,
     PermGroup,
     Permutation,
@@ -70,6 +69,12 @@ def s4():
 def m11():
     return PermGroup.from_generators([cyc(11, list(range(11))),
                           cyc(11, [2, 6, 10, 7], [3, 9, 4, 5])])
+
+
+def a5_high():
+    """A5 on the points 295..299 of 300, past what bytes can index."""
+    return PermGroup(300, [cyc(300, [295, 296, 297]),
+                           cyc(300, [295, 296, 297, 298, 299])])
 
 
 # -- permutations
@@ -322,9 +327,7 @@ def test_distinct_subgroups_build_each_subgroup_once():
     from qsikit import catalog
 
     rng = random.Random(20261019)
-    a5_high = PermGroup(300, [cyc(300, [295, 296, 297]),
-                              cyc(300, [295, 296, 297, 298, 299])])
-    for group in [catalog.load("M11"), a5_high] + random_small_groups():
+    for group in [catalog.load("M11"), a5_high()] + random_small_groups():
         cap = group.order // 2
         subgroups = DistinctSubgroups(group.degree, cap)
         built = []
@@ -427,7 +430,9 @@ def test_class_determinism_under_generator_order():
 def reference_conjugacy_classes(group):
     """Classes by the former method: sort G, then walk it, closing each
     unassigned element's class under ``_conjugate`` by the generators;
-    the first member found is then the lex-min representative."""
+    the first member found is then the lex-min representative. Returns
+    the sorted classes, each sorted, and the element-to-class map, on
+    image tuples."""
     elems = group.elements()
     gen_images = [g.images for g in group.generators]
     assigned = {}
@@ -456,16 +461,11 @@ def reference_conjugacy_classes(group):
     raw_classes.sort(key=sort_key)
     element_to_class = {}
     class_elements = []
-    reps = []
-    sizes = []
     for index, members in enumerate(raw_classes):
-        reps.append(Permutation(members[0]))
-        sizes.append(len(members))
         class_elements.append(tuple(sorted(members)))
         for e in members:
             element_to_class[e] = index
-    return ConjugacyClassSet(group, tuple(reps), tuple(sizes),
-                             element_to_class, tuple(class_elements))
+    return tuple(class_elements), element_to_class
 
 
 def uncached(group):
@@ -479,59 +479,73 @@ def test_classes_match_reference():
     groups = [catalog.load(group_id)
               for group_id in ("A5", "S4", "SL23", "PSL27", "A6", "PSL211",
                                "A7", "M11", "A8", "PSU42")]
-    for group in groups + random_small_groups():
+    for group in groups + [a5_high()] + random_small_groups():
         unsorted = uncached(group)
         sorted_first = uncached(group)
         sorted_first.elements()
-        expected = reference_conjugacy_classes(sorted_first)
-        # from the transversal product, and from the cached elements()
+        class_elements, element_to_class = \
+            reference_conjugacy_classes(sorted_first)
+        # with and without the sorted elements() cached
         for classes in (unsorted.conjugacy_classes(),
                         sorted_first.conjugacy_classes()):
             assert [r.images for r in classes.representatives] == \
-                [r.images for r in expected.representatives]
-            assert classes.sizes == expected.sizes
-            assert classes.class_elements == expected.class_elements
-            assert classes.element_to_class == expected.element_to_class
+                [members[0] for members in class_elements]
+            assert classes.sizes == tuple(map(len, class_elements))
+            # keys read as image tuples
+            assert tuple(tuple(map(classes.form.images, members))
+                         for members in classes.class_elements) == \
+                class_elements
+            assert all(classes.class_of(e) == c
+                       for e, c in element_to_class.items())
         assert "elements" not in unsorted._cache
+
+
+def break_walk(monkeypatch, group, edit):
+    """Make edit(elements, form) the walk of group in every form, the
+    keys conjugacy_classes reads among them."""
+    walk = group._transversal_product
+    monkeypatch.setattr(group, "_transversal_product",
+                        lambda form: edit(list(walk(form)), form))
 
 
 def test_classes_reject_an_enumeration_with_a_repeat(monkeypatch):
     group = uncached(m11())
-    elems = list(group._transversal_product())
     # every other element stays, so each class is still reached
-    broken = elems[:-1] + elems[:1]
-    monkeypatch.setattr(group, "_transversal_product", lambda: broken)
+    break_walk(monkeypatch, group, lambda elems, form: elems[:-1] + elems[:1])
     with pytest.raises(IntegrityError):
         group.conjugacy_classes()
 
 
 def test_classes_reject_an_enumeration_that_drops_an_element(monkeypatch):
     group = uncached(m11())
-    elems = list(group._transversal_product())
-    # the dropped element's class is still reached from its other members
-    dropped = next(e for e in elems if Permutation(e).order() == 11)
-    broken = [e for e in elems if e != dropped]
-    monkeypatch.setattr(group, "_transversal_product", lambda: broken)
+
+    def drop(elems, form):
+        # the dropped element's class is still reached from its other
+        # members
+        dropped = next(e for e in elems
+                       if Permutation(form.images(e)).order() == 11)
+        return [e for e in elems if e != dropped]
+
+    break_walk(monkeypatch, group, drop)
     with pytest.raises(IntegrityError):
         group.conjugacy_classes()
 
 
 def test_classes_reject_an_enumeration_with_a_non_element(monkeypatch):
     group = uncached(a5())
-    elems = list(group._transversal_product())
     # an odd permutation, so none of its conjugates lies in A5 either
     outsider = cyc(5, [0, 1]).images
     assert outsider not in group
-    broken = elems[:30] + [outsider] + elems[30:]
-    monkeypatch.setattr(group, "_transversal_product", lambda: broken)
+    break_walk(monkeypatch, group, lambda elems, form:
+               elems[:30] + [form.key(outsider)] + elems[30:])
     with pytest.raises(IntegrityError):
         group.conjugacy_classes()
 
 
 def test_classes_hold_the_group_once():
     """The traced peak while the classes are found is at most 1.25 times
-    what the result retains: G is held once, as the keys of
-    element_to_class, and never also as a list or a visited set."""
+    what the result retains: G is held once, as the keys of the class
+    map, and never also as a list or a visited set."""
     from qsikit import catalog
 
     for group_id in ("A8", "M11", "PSU42"):
@@ -547,6 +561,27 @@ def test_classes_hold_the_group_once():
             if not was_tracing:
                 tracemalloc.stop()
         assert peak - before <= 1.25 * (retained - before), group_id
+
+
+def test_classes_retain_one_byte_per_point():
+    """On at most 256 points an element's key is bytes(images), one byte
+    per point: what the classes of an uncached group retain stays under
+    a ceiling that eight-byte tuple keys exceed (PSU(4,2) 7.8 MiB, A8
+    2.9 MiB)."""
+    from qsikit import catalog
+
+    for group_id, ceiling_mib in (("PSU42", 4), ("A8", 2)):
+        group = uncached(catalog.load(group_id))
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            group.conjugacy_classes()  # kept in the group's cache
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert retained <= ceiling_mib * 2**20, group_id
 
 
 def test_identity_class_first():
@@ -904,7 +939,7 @@ def test_profiles_are_kept_per_group(monkeypatch):
     for group, profile in zip((s4_, a4), profiles):
         classes = group.conjugacy_classes()
         assert profile == tuple(
-            sum(1 for e in v4.elements() if classes.element_to_class[e] == c)
+            sum(1 for e in v4.elements() if classes.class_of(e) == c)
             for c in range(len(classes)))
     assert profiles[0] == (1, 3, 0, 0, 0) and profiles[1] == (1, 3, 0, 0)
 
@@ -949,8 +984,7 @@ def test_class_profile_leaves_elements_uncached():
         profile = group.class_intersection_profile(fresh)
         assert "elements" not in fresh._cache
         assert profile == tuple(
-            sum(1 for e in fresh.elements()
-                if classes.element_to_class[e] == c)
+            sum(1 for e in fresh.elements() if classes.class_of(e) == c)
             for c in range(len(classes)))
 
 
@@ -1011,7 +1045,7 @@ def test_class_lookups_are_lazy_and_correct():
     group = fresh("PSL27")
     classes = group.conjugacy_classes()
     for z in group.elements():
-        rep = classes.representatives[classes.element_to_class[z]]
+        rep = classes.representatives[classes.class_of(z)]
         assert _conjugate(rep.images, classes.conjugator(z)) == z
     for i, (rep, size) in enumerate(zip(classes.representatives,
                                         classes.sizes)):

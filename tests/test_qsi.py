@@ -237,7 +237,7 @@ def test_conjugate_subgroups_induce_identical_characters():
             for rep_index, rep in enumerate(
                     sub.conjugacy_classes().representatives):
                 moved = rep.conjugated_by(g)
-                moved_values[c_classes.element_to_class[moved.images]] = \
+                moved_values[c_classes.class_of(moved.images)] = \
                     phi.values[rep_index]
             phi_conj = Character(
                 conjugated,
