@@ -15,6 +15,10 @@ column per unsplit dimension, and a class that acts as a scalar on a
 space leaves it whole. The split never forms full images, so the final
 rows are checked against the first orthogonality relation mod p.
 
+The inverse classes, and the classes of the powers of each class
+representative that the lift reads, come from the power map that the
+classes keep (``ConjugacyClassSet.power_map``).
+
 All downstream operations (inner products, induction, restriction,
 kernels) are exact; nothing here ever touches floating point.
 """
@@ -250,7 +254,7 @@ def _modulus_for(group, exponent, class_count):
         candidate += exponent
 
 
-def _class_column(classes, i, l, inverse_class):
+def _class_column(classes, i, l):
     """Column l of class matrix i, as {j: #{x in C_i : x^-1 z_l in C_j}}.
 
     x^-1 z_l is the inverse of z_l^-1 x, which is conjugate to x z_l^-1,
@@ -260,7 +264,7 @@ def _class_column(classes, i, l, inverse_class):
     times = classes.form.times(_invert(classes.representatives[l].images))
     counts = Counter(classes.classes_of(
         map(times, classes.class_elements[i])))
-    return {inverse_class[j]: count for j, count in counts.items()}
+    return {classes.power_map[j][-1]: count for j, count in counts.items()}
 
 
 def character_table(group):
@@ -269,15 +273,7 @@ def character_table(group):
         return group._cache["character_table"]
     classes = group.conjugacy_classes()
     k = len(classes)
-
-    if k == 1:
-        table = CharacterTable(group, [Character(group, [ONE])])
-        group._cache["character_table"] = table
-        return table
-
     p = _modulus_for(group, lcm(*classes.rep_orders), k)
-    inverse_class = [classes.class_of(_invert(rep.images))
-                     for rep in classes.representatives]
 
     # split the common eigenspaces by the class matrices, smallest class
     # first (its columns are the cheapest to read), until every space is
@@ -287,13 +283,13 @@ def character_table(group):
     for i in sorted(range(1, k), key=lambda i: (classes.sizes[i], i)):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
-        spaces = _split(classes, i, spaces, inverse_class, p)
-    table = _table_from_spaces(group, spaces, p, inverse_class)
+        spaces = _split(classes, i, spaces, p)
+    table = _table_from_spaces(group, spaces, p)
     group._cache["character_table"] = table
     return table
 
 
-def _split(classes, i, spaces, inverse_class, p):
+def _split(classes, i, spaces, p):
     """Split every unsplit space by the eigenspaces of class matrix i.
 
     The spaces are invariant because the class matrices commute, so the
@@ -310,7 +306,7 @@ def _split(classes, i, spaces, inverse_class, p):
             continue
         restricted = []
         for j in pivots:
-            row = _class_column(classes, inverse_class[i], j, inverse_class)
+            row = _class_column(classes, classes.power_map[i][-1], j)
             restricted.append([sum(count * sizes[j] // sizes[l] * vec[l]
                                    for l, count in row.items()) % p
                                for vec in basis])
@@ -337,7 +333,7 @@ def _split(classes, i, spaces, inverse_class, p):
     return result
 
 
-def _table_from_spaces(group, spaces, p, inverse_class):
+def _table_from_spaces(group, spaces, p):
     """The table whose irreducibles are the one-dimensional common
     eigenspaces, each lifted to exact cyclotomic values.
 
@@ -349,6 +345,7 @@ def _table_from_spaces(group, spaces, p, inverse_class):
     k = len(classes)
     order = group.order
     sizes = classes.sizes
+    inverse_class = [row[-1] for row in classes.power_map]
     if not all(len(basis) == 1 for basis, _ in spaces):
         raise IntegrityError("class matrices failed to separate characters")
 
@@ -360,16 +357,11 @@ def _table_from_spaces(group, spaces, p, inverse_class):
             raise IntegrityError("eigenvector vanishes on the identity class")
         scale = pow(vec[0], -1, p)
         omega = [(a * scale) % p for a in vec]
-        total = 0
-        for j in range(k):
-            total = (total + omega[j] * omega[inverse_class[j]]
-                     * pow(sizes[j], -1, p)) % p
+        total = sum(omega[j] * omega[inverse_class[j]] * pow(sizes[j], -1, p)
+                    for j in range(k)) % p
         d_squared = (order * pow(total, -1, p)) % p
-        degree = None
-        for d in range(1, sqrt_bound + 1):
-            if (d * d) % p == d_squared:
-                degree = d
-                break
+        degree = next((d for d in range(1, sqrt_bound + 1)
+                       if (d * d) % p == d_squared), None)
         if degree is None:
             raise IntegrityError("no integer degree matches the eigenvector")
         rows.append((degree, [(omega[j] * degree * pow(sizes[j], -1, p)) % p
@@ -382,27 +374,24 @@ def _table_from_spaces(group, spaces, p, inverse_class):
                 raise IntegrityError(
                     "table rows fail the first orthogonality relation mod p")
 
-    # per class of order m: the classes of rep^s for s < m, and the
-    # powers theta^r (r < m) of theta = z^((p-1)/m), which has order m;
-    # both serve every irreducible
+    # per element order m: the powers theta^r (r < m) of theta =
+    # z^((p-1)/m), which has order m, and 1/m; with the classes of rep^s
+    # (s < m) from the power map they serve every irreducible
     z = primitive_root(p)
     roots = {}
     for m in set(classes.rep_orders):
         theta = pow(z, (p - 1) // m, p)
-        roots[m] = [pow(theta, r, p) for r in range(m)]
-    lifts = [([classes.class_of((rep ** s).images) for s in range(m)],
-              roots[m], pow(m, -1, p))
-             for rep, m in zip(classes.representatives, classes.rep_orders)]
+        roots[m] = [pow(theta, r, p) for r in range(m)], pow(m, -1, p)
     irreducibles = []
     for degree, values_mod_p in rows:
         values = []
-        for power_classes, powers, m_inv in lifts:
+        for power_classes in classes.power_map:
             m = len(power_classes)
+            powers, m_inv = roots[m]
             point = [values_mod_p[c] for c in power_classes]
-            multiplicities = []
-            for t in range(m):
-                c = sum(v * powers[-t * s % m] for s, v in enumerate(point))
-                multiplicities.append((c * m_inv) % p)
+            multiplicities = [
+                sum(v * powers[-t * s % m] for s, v in enumerate(point))
+                * m_inv % p for t in range(m)]
             if sum(multiplicities) != degree:
                 raise IntegrityError(
                     "lifted eigenvalue multiplicities do not sum to the degree")
@@ -432,56 +421,57 @@ def inner_product(a, b):
     """(1/|G|) sum over g of a(g) * conj(b(g)), computed classwise."""
     if a.group is not b.group:
         raise DomainError("inner product requires characters of one group")
-    classes = a.group.conjugacy_classes()
-    total = ZERO
-    for size, va, vb in zip(classes.sizes, a.values, b.values):
-        total = total + va * vb.conjugate() * size
-    return total / a.group.order
+    sizes = a.group.conjugacy_classes().sizes
+    return sum((va * vb.conjugate() * size for size, va, vb
+                in zip(sizes, a.values, b.values)), ZERO) / a.group.order
 
 
 def class_fusion(subgroup, group):
     """Map each class of the subgroup to the class of the group containing
-    it, via the group's element-to-class table."""
-    if not subgroup.is_subgroup_of(group):
-        raise DomainError("fusion requires a subgroup")
-    g_classes = group.conjugacy_classes()
-    s_classes = subgroup.conjugacy_classes()
-    fusion = []
-    for rep, rep_order in zip(s_classes.representatives, s_classes.rep_orders):
-        target = g_classes.class_of(rep.images)
-        if g_classes.rep_orders[target] != rep_order:
+    it, via the group's element-to-class table. The subgroup keeps it,
+    keyed by the group object as profiles are, so each pair fuses once."""
+    key = ("fusion", group)
+    if key not in subgroup._cache:
+        if not subgroup.is_subgroup_of(group):
+            raise DomainError("fusion requires a subgroup")
+        g_classes = group.conjugacy_classes()
+        s_classes = subgroup.conjugacy_classes()
+        fusion = tuple(g_classes.class_of(rep.images)
+                       for rep in s_classes.representatives)
+        if tuple(g_classes.rep_orders[c] for c in fusion) != \
+                s_classes.rep_orders:
             raise IntegrityError("fusion mismatched element orders")
-        fusion.append(target)
-    return tuple(fusion)
+        subgroup._cache[key] = fusion
+    return subgroup._cache[key]
 
 
 def induce(phi, group):
     """Induced character phi^G, computed classwise through the fusion."""
     subgroup = phi.group
-    fusion = class_fusion(subgroup, group)
+    values = _induced_values(phi, group)  # fuses U's classes, or raises
     if group.order % subgroup.order != 0:
         raise DomainError("subgroup order does not divide the group order")
-    result = Character(group, _induced_values(phi, group, fusion))
+    result = Character(group, values)
     if result.degree != (group.order // subgroup.order) * phi.degree:
         raise IntegrityError("induced degree check failed")
     return result
 
 
-def _induced_values(phi, group, fusion):
+def _induced_values(phi, group):
     """phi^G one class of G at a time, so a comparison can stop at the
     first class that differs: phi^G(g) = |C_G(g)|/|U| times the sum over
-    the classes D of U fused into g's class of |D| phi(D)."""
+    the classes D of U fused into g's class of |D| phi(D). The fusion is
+    read (or found, and checked) at the call; the values come lazily."""
     subgroup = phi.group
+    fusion = class_fusion(subgroup, group)
     s_sizes = subgroup.conjugacy_classes().sizes
     g_sizes = group.conjugacy_classes().sizes
     fused = [[] for _ in g_sizes]
     for s_index, g_index in enumerate(fusion):
         fused[g_index].append(s_index)
-    for g_size, s_indices in zip(g_sizes, fused):
-        total = ZERO
-        for s_index in s_indices:
-            total = total + phi.values[s_index] * s_sizes[s_index]
-        yield total * Fraction(group.order, g_size * subgroup.order)
+    return (sum((phi.values[s] * s_sizes[s] for s in s_indices), ZERO)
+            * Fraction(group.order, g_size * subgroup.order)
+            for g_size, s_indices in zip(g_sizes, fused))
 
 
 def induce_pointwise(phi, group):
@@ -510,10 +500,8 @@ def induce_pointwise(phi, group):
         hits = Counter(class_of(_compose(_compose(t_inv, x), t))
                        for t, t_inv in moves)
         hits.pop(None, None)  # the x^t outside U
-        total = ZERO
-        for index, count in sorted(hits.items()):
-            total = total + phi.values[index] * count
-        values.append(total)
+        values.append(sum((phi.values[index] * count
+                           for index, count in sorted(hits.items())), ZERO))
     return Character(group, values)
 
 

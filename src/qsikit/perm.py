@@ -636,16 +636,16 @@ class ConjugacyClassSet:
     always first. ``class_of`` finds an element's class from its image
     tuple, and ``classes_of`` maps keys to classes in C.
 
-    Two lookups for conjugacy tests are built on first use only, so a
-    group that needs just its classes (a character table) never pays
-    for them: ``conjugator(z)``, an element taking its class
+    Three maps are built on first use only: ``power_map``, the classes
+    of the powers of each representative, for character tables; and for
+    conjugacy tests ``conjugator(z)``, an element taking its class
     representative to z, and ``centralizer(i)``, the centraliser of
     representative i.
     """
 
     __slots__ = ("group", "form", "class_elements", "representatives",
-                 "sizes", "rep_orders", "_key_to_class", "_conjugators",
-                 "_centralizers")
+                 "sizes", "rep_orders", "_key_to_class", "_power_map",
+                 "_conjugators", "_centralizers")
 
     def __init__(self, group, form, class_elements, key_to_class):
         self.group = group
@@ -657,6 +657,7 @@ class ConjugacyClassSet:
         self.sizes = tuple(map(len, class_elements))
         self.rep_orders = tuple(r.order() for r in self.representatives)
         self._key_to_class = key_to_class
+        self._power_map = None
         self._conjugators = None
         self._centralizers = {}
 
@@ -671,6 +672,21 @@ class ConjugacyClassSet:
     def classes_of(self, keys):
         """The class index of each of the form's keys, as they come."""
         return map(self._key_to_class.__getitem__, keys)
+
+    @property
+    def power_map(self):
+        """Row j: the classes of rep_j^s for s < rep_orders[j], each power
+        one product from the last; it ends with j's inverse class."""
+        if self._power_map is None:
+            rows = []
+            for rep, m in zip(self.representatives, self.rep_orders):
+                keys = [self.form.key(range(self.group.degree))]
+                times = self.form.times(rep.images)
+                while len(keys) < m:
+                    keys.append(times(keys[-1]))
+                rows.append(tuple(self.classes_of(keys)))
+            self._power_map = tuple(rows)
+        return self._power_map
 
     def conjugator(self, z):
         """An image tuple t with rep^t == z, rep the representative of z's

@@ -28,7 +28,6 @@ from .chartab import (
     Character,
     _induced_values,
     character_table,
-    class_fusion,
     induce_pointwise,
     inner_product,
     kernel,
@@ -160,10 +159,13 @@ def verify_qsi_witness(group, chi, witness):
     U's cosets (`induce_pointwise`) rather than the fused classwise
     formula, the multiplier is rechecked against the degree equation,
     and solvability of U/ker(phi) is recomputed from the explicit
-    coset-action quotient.
+    coset-action quotient. A chi of another group than G, or a phi of
+    another group than U, raises DomainError.
     """
     subgroup = witness.subgroup
     phi = witness.phi
+    if chi.group is not group or phi.group is not subgroup:
+        raise DomainError("the character belongs to another group")
     k = witness.multiplier
     if k * chi.degree != (group.order // subgroup.order) * phi.degree:
         raise IntegrityError("witness multiplier fails the degree equation")
@@ -182,8 +184,7 @@ def _subgroup_label(subgroup, index):
     return f"class {index}: order {subgroup.order}"
 
 
-def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
-                         prefilters, log):
+def _search_one_subgroup(chi, subgroup, label, *, monomial, prefilters, log):
     """Search Irr(U) for a witness; append one log record for U.
 
     U/ker(phi) is solvable iff ker(phi) holds the last term of U's derived
@@ -195,9 +196,8 @@ def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
         if not class_fraction_prefilter(chi, subgroup):
             log.append(PruneRecord(subgroup.order, label, "class-fraction"))
             return None
-    index = group.order // subgroup.order
+    index = chi.group.order // subgroup.order
     table = character_table(subgroup)
-    fusion = class_fusion(subgroup, group)
     ordered = sorted(range(len(table.irreducibles)),
                      key=lambda j: -table.irreducibles[j].degree)
     multiples = {}  # k -> the values of k * chi
@@ -210,14 +210,14 @@ def _search_one_subgroup(group, chi, subgroup, label, *, monomial,
             continue
         if k not in multiples:
             multiples[k] = (k * chi).values
-        if all(a == b for a, b in zip(_induced_values(phi, group, fusion),
+        if all(a == b for a, b in zip(_induced_values(phi, chi.group),
                                       multiples[k])):
             phi_kernel = kernel(phi)
             if subgroup.derived_series()[-1].is_subgroup_of(phi_kernel):
                 witness = QsiWitness(
                     subgroup, j, phi, k,
                     subgroup.order // phi_kernel.order)
-                verify_qsi_witness(group, chi, witness)
+                verify_qsi_witness(chi.group, chi, witness)
                 return witness
     log.append(PruneRecord(subgroup.order, label, "searched"))
     return None
@@ -229,9 +229,12 @@ def decide_qsi_character(group, chi, bounds=None, *, monomial=False):
     Returns a verdict carrying either a re-verified witness or a pruning
     log that accounts for every subgroup conjugacy class. If the group
     exceeds the subgroup enumeration bound and no witness arises from
-    U = G, the verdict is undecided rather than a guess.
+    U = G, the verdict is undecided rather than a guess. A chi that is
+    reducible or of another group raises DomainError.
     """
     bounds = bounds or SearchBounds()
+    if chi.group is not group:
+        raise DomainError("the character belongs to another group")
     if inner_product(chi, chi) != ONE:
         raise DomainError("decision procedures require an irreducible chi")
     log = []
@@ -245,18 +248,16 @@ def decide_qsi_character(group, chi, bounds=None, *, monomial=False):
 
     for position, subgroup in enumerate(candidates):
         label = _subgroup_label(subgroup, position)
-        witness = _search_one_subgroup(
-            group, chi, subgroup, label, monomial=monomial,
-            prefilters=bounds.prefilters, log=log)
+        witness = _search_one_subgroup(chi, subgroup, label, monomial=monomial,
+                                       prefilters=bounds.prefilters, log=log)
         if witness is not None:
             status = (STATUS_MONOMIAL
                       if witness.multiplier == 1 and witness.phi.degree == 1
                       else STATUS_QSI)
             return QsiVerdict(chi, status, witness, log)
 
-    if not complete:
-        return QsiVerdict(chi, STATUS_UNDECIDED, None, log)
-    return QsiVerdict(chi, STATUS_REFUTED, None, log)
+    status = STATUS_REFUTED if complete else STATUS_UNDECIDED
+    return QsiVerdict(chi, status, None, log)
 
 
 def decide_qsi_group(group, bounds=None, *, monomial=False):
@@ -318,10 +319,13 @@ def random_subgroup_sweep(group, chi, *, samples=10000, seed=0,
     already seen. Returns a SweepReport whose verdict is
     refuted-by-prefilter when every sampled class was rejected; this is
     sampling evidence, not an exhaustive refutation. Raises DomainError
-    when samples < 1, since no samples refute nothing.
+    when samples < 1, since no samples refute nothing, and when chi is a
+    character of another group.
     """
     if samples < 1:
         raise DomainError(f"the sweep needs at least 1 sample, not {samples}")
+    if chi.group is not group:
+        raise DomainError("the character belongs to another group")
     rng = random.Random(seed)
     # a subgroup of order > |G|/2 is the whole group (Lagrange), so None,
     # and only None, means the pair generates G
@@ -346,7 +350,7 @@ def random_subgroup_sweep(group, chi, *, samples=10000, seed=0,
         seen.add(key)
         label = (f"order {group.order} (whole group)" if subgroup is group
                  else f"order {subgroup.order} profile#{len(seen)}")
-        reasons = _sweep_reject_reasons(group, chi, subgroup, monomial,
+        reasons = _sweep_reject_reasons(chi, subgroup, monomial,
                                         steinberg_prime)
         _record_sweep(log, unrejected, subgroup, label, reasons)
     status = STATUS_REFUTED_PREFILTER if not unrejected else STATUS_UNDECIDED
@@ -354,9 +358,9 @@ def random_subgroup_sweep(group, chi, *, samples=10000, seed=0,
     return SweepReport(verdict, samples, len(seen), whole_hits, unrejected)
 
 
-def _sweep_reject_reasons(group, chi, subgroup, monomial, steinberg_prime):
+def _sweep_reject_reasons(chi, subgroup, monomial, steinberg_prime):
     reasons = []
-    if monomial and group.order != subgroup.order * chi.degree:
+    if monomial and chi.group.order != subgroup.order * chi.degree:
         reasons.append("degree-incompatible")
     if not simple_subgroup_prefilter(chi, subgroup):
         reasons.append("nonabelian-simple")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .perm import PermGroup, Permutation
+from .primes import prime_factors
 
 
 def cyclic(n):
@@ -167,16 +168,6 @@ def c3_semi_d8():
 
 def _abelian_types(n):
     """Elementary divisor lists for every abelian group of order n."""
-    factors = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
 
     def partitions(k):
         if k == 0:
@@ -188,7 +179,8 @@ def _abelian_types(n):
                     yield [first] + rest
 
     types = [[]]
-    for p, exponent in sorted(factors.items()):
+    for p in prime_factors(n):
+        exponent = next(e for e in range(1, n) if n % p ** (e + 1))
         types = [existing + [p ** part for part in partition]
                  for existing in types
                  for partition in partitions(exponent)]

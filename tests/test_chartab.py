@@ -241,8 +241,7 @@ def reference_table(group):
         matrix = [[a % p for a in row]
                   for row in reference_class_matrix(classes, i)]
         spaces = reference_split(spaces, matrix, p)
-    return chartab._table_from_spaces(group, spaces, p,
-                                      inverse_classes(classes))
+    return chartab._table_from_spaces(group, spaces, p)
 
 
 def test_table_matches_full_matrix_reference():
@@ -270,7 +269,7 @@ def test_class_coefficients_transpose_through_inverse_class(group_id):
     a = [reference_class_matrix(classes, i) for i in range(k)]
     for i in range(k):
         for l in range(k):
-            assert chartab._class_column(classes, i, l, inverse_class) == \
+            assert chartab._class_column(classes, i, l) == \
                 {j: a[i][j][l] for j in range(k) if a[i][j][l]}
         for j in range(k):
             for l in range(k):
@@ -282,9 +281,9 @@ def test_split_reads_pivot_rows_only(monkeypatch):
     lookups = []
     column_ = chartab._class_column
 
-    def counting_column(classes, i, l, inverse_class):
+    def counting_column(classes, i, l):
         lookups.append(classes.sizes[i])
-        return column_(classes, i, l, inverse_class)
+        return column_(classes, i, l)
 
     monkeypatch.setattr(chartab, "_class_column", counting_column)
     # building each matrix in full until the split took 194 866 class-
@@ -309,8 +308,8 @@ def test_perturbed_restricted_entry_is_caught(monkeypatch, group_id):
     reads = []
     target = None
 
-    def perturbing_column(classes, i, l, inverse_class):
-        column = column_(classes, i, l, inverse_class)
+    def perturbing_column(classes, i, l):
+        column = column_(classes, i, l)
         if len(reads) == target:
             column[l] = column.get(l, 0) + classes.sizes[l]
         reads.append(l)
@@ -336,21 +335,21 @@ def test_repeated_row_fails_orthogonality(monkeypatch):
     spaces_seen = []
     table_from_spaces = chartab._table_from_spaces
 
-    def capture(group, spaces, p, inverse_class):
-        spaces_seen.append((spaces, p, inverse_class))
-        return table_from_spaces(group, spaces, p, inverse_class)
+    def capture(group, spaces, p):
+        spaces_seen.append((spaces, p))
+        return table_from_spaces(group, spaces, p)
 
     monkeypatch.setattr(chartab, "_table_from_spaces", capture)
     source = catalog.load("PSL27")
     group = PermGroup(source.degree, source.generators)
     character_table(group)
-    (spaces, p, inverse_class), = spaces_seen
+    (spaces, p), = spaces_seen
     for a in range(len(spaces)):
         for b in range(len(spaces)):
             if a != b:
                 repeated = spaces[:b] + [spaces[a]] + spaces[b + 1:]
                 with pytest.raises(IntegrityError, match="orthogonality"):
-                    table_from_spaces(group, repeated, p, inverse_class)
+                    table_from_spaces(group, repeated, p)
 
 
 # -- inner products

@@ -500,6 +500,24 @@ def test_classes_match_reference():
         assert "elements" not in unsorted._cache
 
 
+def test_power_map_holds_the_classes_of_powers():
+    # row j: the class of rep_j^s for each s below the order of rep_j,
+    # read by the table's lift; its last entry, the class of rep_j^-1, is
+    # the inverse class that the split and the orthogonality check read
+    from qsikit import catalog
+
+    groups = [catalog.load(group_id)
+              for group_id in sorted(catalog.manifest()["groups"])]
+    for group in groups + [a5_high()]:
+        classes = group.conjugacy_classes()
+        assert classes.power_map == tuple(
+            tuple(classes.class_of((rep ** s).images) for s in range(m))
+            for rep, m in zip(classes.representatives, classes.rep_orders))
+        assert [row[-1] for row in classes.power_map] == [
+            classes.class_of(_invert(rep.images))
+            for rep in classes.representatives]
+
+
 def break_walk(monkeypatch, group, edit):
     """Make edit(elements, form) the walk of group in every form, the
     keys conjugacy_classes reads among them."""

@@ -1,10 +1,12 @@
 import hashlib
+import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from qsikit import catalog, perm, qsi
+from qsikit import catalog, paper, perm, qsi
 from qsikit.chartab import (
     Character,
     character_table,
@@ -174,6 +176,28 @@ def test_decide_requires_irreducible():
         decide_qsi_character(group, reducible)
 
 
+
+def test_characters_of_another_group_are_refused():
+    # a PSL(2,7) character passed with A5 once came back refuted-exhaustive
+    # without prefilters, and as a bare ValueError from the class profile
+    # with them; a phi of a copy of U passed the pointwise re-induction
+    a5 = catalog.load("A5")
+    psl27 = catalog.load("PSL27")
+    chi = character_table(psl27).unique_by_degree(7)
+    for bounds in (SearchBounds(), SearchBounds(prefilters=False)):
+        with pytest.raises(DomainError, match="another group"):
+            decide_qsi_character(a5, chi, bounds)
+    with pytest.raises(DomainError, match="another group"):
+        random_subgroup_sweep(a5, chi, samples=10)
+    witness = decide_qsi_character(psl27, chi, monomial=True).witness
+    with pytest.raises(DomainError, match="another group"):
+        verify_qsi_witness(a5, chi, witness)
+    copy = PermGroup(witness.subgroup.degree, witness.subgroup.generators)
+    phi = character_table(copy).irreducibles[witness.char_index]
+    assert phi.values == witness.phi.values
+    with pytest.raises(DomainError, match="another group"):
+        verify_qsi_witness(psl27, chi, replace(witness, phi=phi))
+
 def test_undecided_capacity_for_large_groups():
     group = catalog.load("M11")
     table = character_table(group)
@@ -255,12 +279,12 @@ def test_search_compares_induced_values_class_by_class(monkeypatch):
     drawn = []
     classwise = qsi._induced_values
 
-    def counting(phi, group, fusion):
-        for value in classwise(phi, group, fusion):
+    def counting(phi, group):
+        for value in classwise(phi, group):
             drawn.append(value)
             yield value
 
-    def pointwise(phi, group, fusion):
+    def pointwise(phi, group):
         values = induce_pointwise(phi, group).values
         drawn.extend(values)
         return values
@@ -418,6 +442,53 @@ def test_psu42_sampling_stream_is_pinned():
         for i, order in enumerate(PSU42_SWEEP_ORDERS, start=2)]
 
 
+
+# sha256 of json.dumps(..., sort_keys=True) of whole verdict lists and of
+# each paper case's (ok, details) at 1000 samples, recorded before the
+# class power map and the fusion moved to the classes and the subgroup;
+# PSL(2,7) has the same verdicts with and without monomial=True
+VERDICT_DIGESTS = {
+    "PSL27":
+        "575665d6343344b7f21d67d2bca7c38eaba53f2c6d1c9a9262b47f50ec1e7e6c",
+    "A6":
+        "37fc5092ead57b6720a94e478165ad9e420f90fd9949759037db170c02e7ad5f",
+    "PSL211":
+        "fda40da08f9e002c63da32b549fe6b9d4ee3c0ac7259a6ff962af59013ca3177",
+    "M11":
+        "9ede53475283715386cfcefd714971fe8e484842b1ea27dc46c0e6c0fd86f8e5",
+    "PSL27 monomial":
+        "575665d6343344b7f21d67d2bca7c38eaba53f2c6d1c9a9262b47f50ec1e7e6c",
+    "A5 no prefilters":
+        "09b7f9470bd7bea465f514474594ebd247db840f99d8449d37ea4887a459ed99",
+    "a5-not-qsi":
+        "e5a6f468f8856156017a4cd0a74d2da7f3a913f76112711516f964206bc0c4ea",
+    "psl27-steinberg-monomial":
+        "ae091905afb36f1c319c9d55666ec09a1d0c8f904fbc0ec3e5c62ab3d59b08d4",
+    "psp43-2st-witness":
+        "5f89244ebd169276cc995e5eaa41484bf052be2dbd7768453edfaeefd8edc718",
+    "m11-generation-sample":
+        "97ad00c08ef2fef51f81f7f09f61ae75de5c387241046a23bc3bbd30fe342e57",
+    "an-restriction-identity":
+        "d8aec5f6d58b4d3e9fccd6916129445efafe7a042e52478a8cef61b567b25dc7",
+}
+
+
+def test_verdict_json_is_pinned():
+    runs = {group_id: decide_qsi_group(catalog.load(group_id))
+            for group_id in ("PSL27", "A6", "PSL211", "M11")}
+    runs["PSL27 monomial"] = decide_qsi_group(catalog.load("PSL27"),
+                                              monomial=True)
+    runs["A5 no prefilters"] = decide_qsi_group(
+        catalog.load("A5"), SearchBounds(prefilters=False))
+    texts = {name: json.dumps([v.to_json() for v in verdicts],
+                              sort_keys=True)
+             for name, verdicts in runs.items()}
+    for name, case in paper.CASES.items():
+        ok, details, _ = case(samples=1000)
+        texts[name] = json.dumps([ok, details], sort_keys=True)
+    assert {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in texts.items()} == VERDICT_DIGESTS
+
 def reference_random_subgroup_sweep(group, chi, *, samples, seed,
                                     monomial=True, steinberg_prime=None):
     """The sweep as it was before it recognised repeated subgroups: each
@@ -441,7 +512,7 @@ def reference_random_subgroup_sweep(group, chi, *, samples, seed,
                 continue
             seen[key] = True
             label = f"order {group.order} (whole group)"
-            reasons = _sweep_reject_reasons(group, chi, group, monomial,
+            reasons = _sweep_reject_reasons(chi, group, monomial,
                                             steinberg_prime)
             _record_sweep(log, unrejected, group, label, reasons)
             continue
@@ -451,7 +522,7 @@ def reference_random_subgroup_sweep(group, chi, *, samples, seed,
             continue
         seen[key] = True
         label = f"order {candidate.order} profile#{len(seen)}"
-        reasons = _sweep_reject_reasons(group, chi, candidate, monomial,
+        reasons = _sweep_reject_reasons(chi, candidate, monomial,
                                         steinberg_prime)
         _record_sweep(log, unrejected, candidate, label, reasons)
     status = STATUS_REFUTED_PREFILTER if not unrejected else STATUS_UNDECIDED
