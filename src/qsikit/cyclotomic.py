@@ -171,6 +171,8 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.conductor == 1:
+            self, other = other, self
         # scaling by a nonzero rational preserves the minimal conductor
         if other.conductor == 1:
             q = other.coeffs[0]
@@ -178,13 +180,6 @@ class Cyclotomic:
                 return Cyclotomic.from_rational(0)
             return Cyclotomic(self.conductor,
                               tuple(c * q for c in self.coeffs),
-                              _canonical=True)
-        if self.conductor == 1:
-            q = self.coeffs[0]
-            if q == 0:
-                return Cyclotomic.from_rational(0)
-            return Cyclotomic(other.conductor,
-                              tuple(c * q for c in other.coeffs),
                               _canonical=True)
         n = self.conductor * other.conductor // gcd(self.conductor,
                                                     other.conductor)

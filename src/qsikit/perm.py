@@ -22,13 +22,14 @@ Composition convention: ``(p * q)(i) == q(p(i))``, i.e. p acts first.
 Points are 0-based internally; the text file format uses 1-based cycles.
 Sifting, orbits and element lists hold a permutation as its image tuple,
 and "p then q" is ``operator.itemgetter(*p)(q)``: one C-level call that
-indexes q at every image of p. Where a whole group is walked (conjugacy
-classes, class-intersection profiles, class matrices), an element is
-named by a key that one owner, ``_element_form``, chooses from the
-degree: ``bytes(images)`` on at most 256 points, one byte per point,
-with "p then q" as ``p.translate(table of q)``, and the image tuple
-above that. Bytes compare as the equal-length tuples of their values,
-so every sort and least element is the same in either form.
+indexes q at every image of p. Where a whole group is walked (classes,
+their conjugators and centralisers, profiles, class matrices, the
+subgroup lattice), an element is named by a key that one owner,
+``_element_form``, chooses from the degree: ``bytes(images)`` on at most
+256 points, one byte per point, with "p then q" as
+``p.translate(table of q)``, and the image tuple above that. Bytes
+compare as the equal-length tuples of their values, so every sort and
+least element is the same in either form.
 """
 
 from __future__ import annotations
@@ -75,12 +76,6 @@ def _conjugate(t, g):
     for i, ti in enumerate(t):
         out[g[i]] = g[ti]
     return tuple(out)
-
-
-def _conjugation_moves(perms):
-    """(g, back_g) per image tuple g of perms, back_g the getter of g^-1:
-    x^g = g^-1 x g is ``back_g(itemgetter(*x)(g))``."""
-    return [(p.images, itemgetter(*_invert(p.images))) for p in perms]
 
 
 def _least_in_coset(x, sub_elements):
@@ -148,10 +143,16 @@ class _PackedForm:
         return methodcaller("translate", self.table(t))
 
     def moves(self, perms):
-        """What ``orbit`` conjugates by: the key of g^-1 and the table of
-        g, per g in perms."""
+        """What ``orbit`` and ``conjugates`` conjugate by: the key of g^-1
+        and the table of g, per g in perms."""
         return [(bytes(_invert(g.images)), self.table(g.images))
                 for g in perms]
+
+    def conjugates(self, x, moves):
+        """The keys of x^g = g^-1 x g, one per move, in the moves' order."""
+        table = x + self.pad
+        return [g_inv.translate(table).translate(g_table)
+                for g_inv, g_table in moves]
 
     def orbit(self, e, moves, marks, mark):
         """The conjugates of e by the moves' elements, breadth first from
@@ -187,7 +188,15 @@ class _TupleForm:
         # t then x, the conjugate of x then t by x
         return itemgetter(*t)
 
-    moves = staticmethod(_conjugation_moves)
+    @staticmethod
+    def moves(perms):
+        # x^g = g^-1 x g is back(itemgetter(*x)(g)), back the getter of g^-1
+        return [(g.images, itemgetter(*_invert(g.images))) for g in perms]
+
+    @staticmethod
+    def conjugates(x, moves):
+        then = itemgetter(*x)
+        return [back(then(g)) for g, back in moves]
 
     @staticmethod
     def orbit(e, moves, marks, mark):
@@ -638,9 +647,9 @@ class ConjugacyClassSet:
 
     Three maps are built on first use only: ``power_map``, the classes
     of the powers of each representative, for character tables; and for
-    conjugacy tests ``conjugator(z)``, an element taking its class
-    representative to z, and ``centralizer(i)``, the centraliser of
-    representative i.
+    conjugacy tests ``conjugator(z)``, the key of an element taking its
+    class representative to the element of key z, and ``centralizer(i)``,
+    the centraliser of representative i as sorted image tuples.
     """
 
     __slots__ = ("group", "form", "class_elements", "representatives",
@@ -689,39 +698,41 @@ class ConjugacyClassSet:
         return self._power_map
 
     def conjugator(self, z):
-        """An image tuple t with rep^t == z, rep the representative of z's
-        class.
+        """The key of an element t with rep^t == z, for the key z of an
+        element and rep the representative of its class.
 
         The first call fills the table for every element, by one
         breadth-first pass per class over the group's generators from
         the representative, using t_(y^g) = t_y g.
         """
         if self._conjugators is None:
-            moves = _conjugation_moves(self.group.generators)
-            identity = tuple(range(self.group.degree))
+            form, gens = self.form, self.group.generators
+            moves = form.moves(gens)
+            tables = [form.table(g.images) for g in gens]
+            identity = form.key(range(self.group.degree))
             table = {}
-            for rep in self.representatives:
-                table[rep.images] = identity
-                walk = [rep.images]
+            for members in self.class_elements:
+                table[members[0]] = identity
+                walk = [members[0]]
                 for y in walk:  # reaches what it appends: breadth first
-                    ty = table[y]
-                    then = itemgetter(*y)
-                    for g, back in moves:
-                        w = back(then(g))
+                    then = form.after(table[y])
+                    for w, g in zip(form.conjugates(y, moves), tables):
                         if w not in table:
-                            table[w] = _compose(ty, g)
+                            table[w] = then(g)
                             walk.append(w)
             self._conjugators = table
         return self._conjugators[z]
 
     def centralizer(self, i):
-        """The elements of the centraliser of representative i, as image
-        tuples, from one scan of the group on first use."""
+        """The elements e of the centraliser of representative r_i, where
+        e^r_i == e, as sorted image tuples, from one scan of the class
+        map's keys on first use."""
         if i not in self._centralizers:
-            r = self.representatives[i].images
-            self._centralizers[i] = tuple(
-                e for e in self.group.elements()
-                if _compose(e, r) == _compose(r, e))
+            form = self.form
+            moves = form.moves([self.representatives[i]])
+            self._centralizers[i] = tuple(map(form.images, sorted(
+                e for e in self._key_to_class
+                if form.conjugates(e, moves) == [e])))
         return self._centralizers[i]
 
 
@@ -1104,7 +1115,8 @@ class PermGroup:
         if not a.generators:
             return iter(self.elements())
         classes = self.conjugacy_classes()
-        b_elems = b.elements()
+        form = classes.form
+        b_keys = sorted(b._transversal_product(form))
         b_profile = self.class_intersection_profile(b)
         a_gens = [g.images for g in a.generators]
 
@@ -1114,22 +1126,23 @@ class PermGroup:
 
         x = min(a_gens, key=cost)
         c = classes.class_of(x)
-        b_classes = classes.classes_of(map(classes.form.key, b_elems))
-        targets = [y for y, cy in zip(b_elems, b_classes) if cy == c]
+        targets = [y for y, cy in zip(b_keys, classes.classes_of(b_keys))
+                   if cy == c]
         if not targets:
             return iter(())
-        b_set = set(b_elems)
+        b_set = set(b_keys)
         others = [g for g in a_gens if g != x]
-        t_x_inv = _invert(classes.conjugator(x))
+        t_x_inv = _invert(form.images(classes.conjugator(form.key(x))))
         # t_x^-1 s for s in C, shared by every coset
         heads = [_compose(t_x_inv, s) for s in classes.centralizer(c)]
 
         def scan():
             for y in targets:
-                t_y = classes.conjugator(y)
+                t_y = form.images(classes.conjugator(y))
                 for head in heads:
                     e = _compose(head, t_y)
-                    if all(_conjugate(g, e) in b_set for g in others):
+                    if all(form.key(_conjugate(g, e)) in b_set
+                           for g in others):
                         yield e
 
         return scan()
@@ -1155,10 +1168,11 @@ class PermGroup:
         registered by then.
         The orbit is closed under left multiplication by U, so it is a
         union of right cosets U y, and it is marked one coset at a time:
-        all of U y at once, through one getter per element of U, then
-        the cosets U y g for U's generators g and U y^n for the
-        generators n that N has beyond U's (U y^n = (U y)^n, as n
-        normalizes U). So a base costs [G:U] - 1 coset walks.
+        all of U y at once, through one product per element of U, then
+        the cosets (U y)^n = U y^n for the generators n of N, U's own
+        among them (U y^u = U y u for u in U). So a base costs
+        [G:U] - 1 coset walks. G is walked in the keys of the class map
+        (see ``_element_form``), sorted, so no other copy of G is held.
         The trivial group is registered but is never a base: its
         candidates <e> are each conjugate to a cyclic seed, so they
         would register nothing.
@@ -1176,7 +1190,7 @@ class PermGroup:
                 f"group order {self.order} exceeds the subgroup enumeration "
                 f"bound {max_order}", bound=max_order)
         classes = self.conjugacy_classes()
-        elems = self.elements()
+        form = classes.form
 
         found = []
         by_profile = {}
@@ -1202,31 +1216,29 @@ class PermGroup:
 
         # a proper subgroup has order at most |G|/2
         cap = self.order // 2
+        keys = sorted(classes._key_to_class)
         while queue:
             base = found[queue.pop(0)]
-            base_gens = [g.images for g in base.generators]
-            base_elems = base.elements()
-            # u y for y a coset representative; degree > 1 here, so each
-            # getter returns a tuple
-            lefts = [itemgetter(*u) for u in base_elems]
-            # with U's generators these generate N_G(U)
-            conjugators = _conjugation_moves(
-                self.normalizer(base).generators[len(base_gens):])
-            seen = set(base_elems)
-            for e in elems:
+            base_keys = list(base._transversal_product(form))
+            # u y for u in U, as a map from the table of y
+            lefts = list(map(form.after, base_keys))
+            moves = form.moves(self.normalizer(base).generators)
+            seen = set(base_keys)
+            for e in keys:
                 if e in seen:
                     continue
                 # <U, u e^n u'> = <U, e>^n: mark e's orbit coset by coset
-                seen.update([left(e) for left in lefts])
                 frontier = [e]
                 while frontier:
-                    for y in _coset_neighbours(frontier.pop(), base_gens,
-                                               conjugators):
-                        if y not in seen:
-                            seen.update([left(y) for left in lefts])
-                            frontier.append(y)
+                    y = frontier.pop()
+                    if y not in seen:  # else U y is marked
+                        table = form.table(y)
+                        seen.update([left(table) for left in lefts])
+                        frontier.extend(form.conjugates(y, moves))
                 try:
-                    candidate = base._with(Permutation(e), _order_cap=cap)
+                    candidate = base._with(
+                        Permutation._unchecked(form.images(e)),
+                        _order_cap=cap)
                 except _OrderCapExceeded:
                     continue
                 idx = register(candidate)
@@ -1290,11 +1302,3 @@ class DistinctSubgroups:
         return any(all(_sift(chain, t)[0] == identity for t in images)
                    for chain in self._chains.get(order, ()))
 
-
-def _coset_neighbours(y, gens, conjugators):
-    """Representatives of the right cosets next to U y in the lattice's
-    orbit walk: y g for each generator g of U, and y^n for each move
-    (n, getter of n^-1) of an extra generator n of N_G(U)."""
-    then = itemgetter(*y)
-    return ([then(g) for g in gens]
-            + [back(then(n)) for n, back in conjugators])

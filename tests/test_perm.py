@@ -859,7 +859,8 @@ def test_lattice_pruning_matches_reference():
     # same representatives, with the same generators, in the same order
     from qsikit import catalog
 
-    groups = [a5(), s4(), catalog.load("PSL27"), *random_small_groups()]
+    groups = [a5(), s4(), catalog.load("PSL27"), *random_small_groups(),
+              a5_high()]
     for group in groups:
         assert lattice_signature(group.subgroups_up_to_conjugacy()) == \
             lattice_signature(reference_subgroups_up_to_conjugacy(group))
@@ -905,26 +906,56 @@ def test_lattice_walks_each_right_coset_once(monkeypatch):
     from qsikit import catalog, perm
 
     walks = []
-    neighbours_ = perm._coset_neighbours
+    conjugates_ = perm._PackedForm.conjugates
 
-    def counting_neighbours(y, gens, conjugators):
-        moves = neighbours_(y, gens, conjugators)
-        walks.append(len(moves))
-        return moves
+    def counting_conjugates(self, x, moves):
+        steps = conjugates_(self, x, moves)
+        walks.append(len(steps))
+        return steps
 
-    monkeypatch.setattr(perm, "_coset_neighbours", counting_neighbours)
     source = catalog.load("A7")
     group = PermGroup(source.degree, source.generators)
+    classes = group.conjugacy_classes()
+    # the class lookups walk G through the same step; fill them first,
+    # so that only the lattice's coset steps are counted
+    classes.conjugator(classes.class_elements[0][0])
+    for i in range(len(classes)):
+        classes.centralizer(i)
+    monkeypatch.setattr(perm._PackedForm, "conjugates", counting_conjugates)
     lattice = group.subgroups_up_to_conjugacy()
     bases = [sub for sub in lattice if 1 < sub.order < group.order]
     assert len(bases) == 38
     # each base walks every right coset of U but U itself, once
     assert len(walks) == sum(group.order // sub.order - 1
                              for sub in bases) == 10461
-    # one step per generator of N_G(U): U's and those N has beyond them
+    # one step per generator of N_G(U), U's own among them, since
+    # (U y)^u = U y u for u in U
     assert sum(walks) <= sum(
         group.order // sub.order * len(group.normalizer(sub).generators)
         for sub in bases) == 33577
+
+
+def test_lattice_holds_the_group_once():
+    """The lattice walks G in the class map's keys: it lists no image
+    tuples of G, and its traced peak stays under a multiple of what the
+    classes retain that a second copy of G exceeds (8.6 times on A7)."""
+    from qsikit import catalog
+
+    group = uncached(catalog.load("A7"))
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group.conjugacy_classes()
+        retained = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        group.subgroups_up_to_conjugacy()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert "elements" not in group._cache
+    assert peak <= 6 * retained
 
 
 def counting_profiles(monkeypatch):
@@ -1025,7 +1056,8 @@ def test_transporters_match_a_scan_of_the_group():
     from qsikit import catalog
 
     rng = random.Random(20261019)
-    for group in (a5(), catalog.load("PSL27"), *random_small_groups()):
+    for group in (a5(), catalog.load("PSL27"), *random_small_groups(),
+                  a5_high()):
         reps = group.subgroups_up_to_conjugacy()
         profiles = [group.class_intersection_profile(sub) for sub in reps]
         for i, a in enumerate(reps):
@@ -1062,9 +1094,11 @@ def test_class_lookups_are_lazy_and_correct():
 
     group = fresh("PSL27")
     classes = group.conjugacy_classes()
+    form = classes.form
     for z in group.elements():
         rep = classes.representatives[classes.class_of(z)]
-        assert _conjugate(rep.images, classes.conjugator(z)) == z
+        t = form.images(classes.conjugator(form.key(z)))
+        assert _conjugate(rep.images, t) == z
     for i, (rep, size) in enumerate(zip(classes.representatives,
                                         classes.sizes)):
         centralizer = classes.centralizer(i)
